@@ -19,10 +19,7 @@ use nhpp_models::prior::NhppPrior;
 use nhpp_models::{LogPosterior, ModelSpec, Posterior};
 use nhpp_numeric::quadrature::GaussLegendre;
 use nhpp_numeric::roots::bisect;
-use nhpp_special::{
-    exp_shift_inplace_x4, exp_shift_inplace_x8, log_sum_exp, log_sum_exp_x4, log_sum_exp_x8,
-    SimdDispatch, SimdPolicy, WIDE8_LANES, WIDE_LANES,
-};
+use nhpp_special::{exp_lane, log_sum_exp, log_sum_exp_x4, SimdDispatch, SimdPolicy};
 use std::cell::RefCell;
 
 thread_local! {
@@ -75,8 +72,8 @@ pub struct NintOptions {
     pub n_omega: usize,
     /// Gauss–Legendre points along the β axis.
     pub n_beta: usize,
-    /// SIMD lane policy of the grid reduction (the streaming
-    /// log-sum-exp and the normalising exponential pass).
+    /// SIMD lane policy of the grid reduction (the batch log-sum-exp
+    /// and the normalising exponential pass).
     /// [`SimdPolicy::Auto`] follows the process-wide dispatch once the
     /// grid reaches [`WIDE_AUTO_MIN_CELLS`] cells and stays scalar
     /// below it (lane packing loses on small single-pass reductions);
@@ -183,7 +180,6 @@ impl NintPosterior {
         let ln_norm = match dispatch {
             SimdDispatch::Scalar => log_sum_exp(&cells),
             SimdDispatch::Wide4 => log_sum_exp_x4(&cells),
-            SimdDispatch::Wide8 => log_sum_exp_x8(&cells),
         };
         if !ln_norm.is_finite() {
             return Err(BayesError::IllPosed {
@@ -197,8 +193,11 @@ impl NintPosterior {
                     *v = (*v - ln_norm).exp();
                 }
             }
-            SimdDispatch::Wide4 => exp_shift_inplace_x4(&mut prob, ln_norm),
-            SimdDispatch::Wide8 => exp_shift_inplace_x8(&mut prob, ln_norm),
+            SimdDispatch::Wide4 => {
+                for v in &mut prob {
+                    *v = exp_lane(*v - ln_norm);
+                }
+            }
         }
         let mut marg_omega = vec![0.0; omega_nodes.len()];
         let mut marg_beta = vec![0.0; beta_nodes.len()];
@@ -219,11 +218,7 @@ impl NintPosterior {
             marg_omega,
             marg_beta,
             ln_norm,
-            lane_width: match dispatch {
-                SimdDispatch::Scalar => 1,
-                SimdDispatch::Wide4 => WIDE_LANES,
-                SimdDispatch::Wide8 => WIDE8_LANES,
-            },
+            lane_width: dispatch.lane_width(),
         })
     }
 
@@ -233,9 +228,8 @@ impl NintPosterior {
     }
 
     /// SIMD lane width the grid reduction ran at (`1` = scalar,
-    /// [`nhpp_special::WIDE_LANES`] or [`nhpp_special::WIDE8_LANES`] =
-    /// wide). Replaying a fit with the matching [`SimdPolicy`]
-    /// reproduces it bitwise on any machine.
+    /// [`nhpp_special::WIDE_LANES`] = wide). Replaying a fit with the
+    /// matching [`SimdPolicy`] reproduces it bitwise on any machine.
     pub fn lane_width(&self) -> usize {
         self.lane_width
     }
@@ -706,28 +700,18 @@ mod tests {
         };
         let scalar = fit(SimdPolicy::ForceScalar);
         let wide = fit(SimdPolicy::ForceWide);
-        let wide8 = fit(SimdPolicy::ForceWide8);
         assert_eq!(scalar.lane_width(), 1);
-        assert_eq!(wide.lane_width(), WIDE_LANES);
-        assert_eq!(wide8.lane_width(), WIDE8_LANES);
+        assert_eq!(wide.lane_width(), nhpp_special::WIDE_LANES);
         // The reductions differ only by ulp-level regrouping.
-        for other in [&wide, &wide8] {
-            assert!(
-                (scalar.mean_omega() - other.mean_omega()).abs()
-                    < 1e-12 * scalar.mean_omega()
-            );
-            assert!((scalar.log_evidence() - other.log_evidence()).abs() < 1e-10);
-        }
-        // Each width reproduces itself bitwise on a repeat fit.
-        for (first, policy) in [(&wide, SimdPolicy::ForceWide), (&wide8, SimdPolicy::ForceWide8)]
-        {
-            let second = fit(policy);
-            assert_eq!(first.mean_omega().to_bits(), second.mean_omega().to_bits());
-            assert_eq!(first.ln_norm.to_bits(), second.ln_norm.to_bits());
-            assert_eq!(first.prob.len(), second.prob.len());
-            for (a, b) in first.prob.iter().zip(&second.prob) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
+        assert!((scalar.mean_omega() - wide.mean_omega()).abs() < 1e-12 * scalar.mean_omega());
+        assert!((scalar.log_evidence() - wide.log_evidence()).abs() < 1e-10);
+        // The wide width reproduces itself bitwise on a repeat fit.
+        let second = fit(SimdPolicy::ForceWide);
+        assert_eq!(wide.mean_omega().to_bits(), second.mean_omega().to_bits());
+        assert_eq!(wide.ln_norm.to_bits(), second.ln_norm.to_bits());
+        assert_eq!(wide.prob.len(), second.prob.len());
+        for (a, b) in wide.prob.iter().zip(&second.prob) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

@@ -81,6 +81,6 @@ pub use vb2::{
     SolverKind, Truncation, Vb2Options, Vb2Posterior, Vb2Scratch, Vb2Task, Vb2WarmStart,
 };
 // The lane-dispatch vocabulary travels with the fit options that use it.
-pub use nhpp_special::{SimdDispatch, SimdPolicy, WIDE8_LANES, WIDE_LANES};
+pub use nhpp_special::{SimdDispatch, SimdPolicy, WIDE_LANES};
 #[doc(hidden)]
 pub use vb2::zeta_probe;

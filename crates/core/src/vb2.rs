@@ -56,7 +56,7 @@ use nhpp_numeric::{parallel, Budget, NumericError, SharedBudget};
 use crate::endpoint::{ln_mass_between, mean_from_masses, tail_mean_from_masses_lane, Endpoint};
 use nhpp_special::{
     ln_factorial, ln_gamma, LnGammaLadder, SimdDispatch, SimdPolicy, StreamingLogSumExp,
-    WIDE8_LANES, WIDE_LANES,
+    WIDE_LANES,
 };
 use std::cell::RefCell;
 use std::time::Duration;
@@ -162,8 +162,8 @@ pub struct Vb2Options {
     /// the robustness tests; `None` in production).
     pub fault: Option<FaultKind>,
     /// Lane policy for the component sweep's kernels: follow the
-    /// process-wide dispatch (`NHPP_SIMD`), or force the scalar,
-    /// 4-lane, or 8-lane path. The width actually used is pinned into
+    /// process-wide dispatch (`NHPP_SIMD`), or force the scalar or
+    /// 4-lane path. The width actually used is pinned into
     /// the result ([`Vb2Posterior::lane_width`]); forcing it reproduces
     /// a recorded run bitwise on any machine. The wide path engages
     /// only where the sweep supports it — iterative substitution
@@ -688,7 +688,7 @@ impl Vb2Posterior {
         // reproducibility contract (same data + options + lane width ⇒
         // same bits, on any machine — dispatch is a software choice,
         // never a CPU-feature probe).
-        let lane_width = if wide_sweep_eligible(&ctx) {
+        let lane_width = if wide_sweep_kind(&ctx).is_some() {
             ctx.dispatch.lane_width()
         } else {
             1
@@ -1155,13 +1155,6 @@ fn wide_sweep_kind(ctx: &FitContext) -> Option<LaneKind> {
     }
 }
 
-/// Whether the component sweep runs on the wide kernels (any lane map,
-/// any wide width) — the gate behind the pinned
-/// [`Vb2Posterior::lane_width`].
-fn wide_sweep_eligible(ctx: &FitContext) -> bool {
-    wide_sweep_kind(ctx).is_some()
-}
-
 /// A cheap, coarse pre-solve of the chunk head's `ξ` so the chunk's
 /// warm-start chain begins near its fixed point instead of cold. The
 /// seed depends only on the component index — never on other chunks or
@@ -1269,25 +1262,19 @@ fn solve_chunk(
     let mut ladder_b = ctx
         .b_stride
         .map(|_| LnGammaLadder::new(ctx.a_b + n0 as f64 * ctx.alpha0));
-    // Lane-parallel sweep: whole blocks of consecutive `N` (4 or 8
-    // wide, per the resolved dispatch) solve their fixed points side
-    // by side in struct-of-arrays form; the ragged tail (and any
-    // ineligible fit) takes the scalar loop below, which continues
-    // from the same ladder and warm-chain state. Block staging lives
-    // in registers; results fold back into the array-of-structs
-    // scratch, so the chunk output layout (and the chunk partition,
-    // and therefore thread-count determinism) is unchanged.
+    // Lane-parallel sweep: whole blocks of `WIDE_LANES` consecutive
+    // `N` solve their fixed points side by side in struct-of-arrays
+    // form; the ragged tail (and any ineligible fit) takes the scalar
+    // loop below, which continues from the same ladder and warm-chain
+    // state. Block staging lives in registers; results fold back into
+    // the array-of-structs scratch, so the chunk output layout (and
+    // the chunk partition, and therefore thread-count determinism) is
+    // unchanged.
     let mut idx = 0;
     if let Some(kind) = wide_sweep_kind(ctx) {
-        idx = match ctx.dispatch {
-            SimdDispatch::Wide8 => solve_lane_blocks::<WIDE8_LANES>(
-                ctx, kind, ns, out, &mut warm_xi, &mut ladder_a, &mut ladder_b, shared,
-            )?,
-            SimdDispatch::Wide4 => solve_lane_blocks::<WIDE_LANES>(
-                ctx, kind, ns, out, &mut warm_xi, &mut ladder_a, &mut ladder_b, shared,
-            )?,
-            SimdDispatch::Scalar => unreachable!("guarded by wide_sweep_kind"),
-        };
+        idx = solve_lane_blocks::<WIDE_LANES>(
+            ctx, kind, ns, out, &mut warm_xi, &mut ladder_a, &mut ladder_b, shared,
+        )?;
     }
     for (&n, slot) in ns[idx..].iter().zip(out[idx..].iter_mut()) {
         let ln_gamma_a = ladder_a.value();
@@ -2394,17 +2381,6 @@ mod tests {
             )
             .unwrap();
             assert_eq!(wide.lane_width(), WIDE_LANES, "{label}");
-            let wide8 = Vb2Posterior::fit(
-                spec,
-                prior,
-                data,
-                Vb2Options {
-                    lanes: SimdPolicy::ForceWide8,
-                    ..base
-                },
-            )
-            .unwrap();
-            assert_eq!(wide8.lane_width(), nhpp_special::WIDE8_LANES, "{label}");
             let scalar = Vb2Posterior::fit(
                 spec,
                 prior,
@@ -2416,16 +2392,13 @@ mod tests {
             )
             .unwrap();
             assert_eq!(scalar.lane_width(), 1, "{label}");
-            for other in [&wide, &wide8] {
-                assert!(
-                    (other.mean_omega() - scalar.mean_omega()).abs()
-                        < 1e-8 * scalar.mean_omega(),
-                    "{label}: {} vs {}",
-                    other.mean_omega(),
-                    scalar.mean_omega()
-                );
-                assert!((other.elbo() - scalar.elbo()).abs() < 1e-6, "{label}");
-            }
+            assert!(
+                (wide.mean_omega() - scalar.mean_omega()).abs() < 1e-8 * scalar.mean_omega(),
+                "{label}: {} vs {}",
+                wide.mean_omega(),
+                scalar.mean_omega()
+            );
+            assert!((wide.elbo() - scalar.elbo()).abs() < 1e-6, "{label}");
         }
     }
 

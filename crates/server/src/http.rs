@@ -15,6 +15,14 @@ use std::net::TcpStream;
 /// legitimate payload is an event batch of a few thousand CSV lines.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
 
+/// Upper bound on the request line and on each header line (8 KiB,
+/// line terminator included), so a client cannot make a worker buffer
+/// an endless line.
+pub const MAX_LINE_BYTES: u64 = 8 * 1024;
+
+/// Upper bound on the number of header lines in one request.
+pub const MAX_HEADERS: usize = 100;
+
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
 pub struct Request {
@@ -125,11 +133,12 @@ impl Response {
 ///
 /// # Errors
 ///
-/// `InvalidData` on a malformed request line, header or oversized body;
-/// plain I/O errors (including timeouts) pass through.
+/// `InvalidData` on a malformed request line or header, a line longer
+/// than [`MAX_LINE_BYTES`], more than [`MAX_HEADERS`] headers or an
+/// oversized body; plain I/O errors (including timeouts) pass through.
 pub fn read_request<R: BufRead>(r: &mut R) -> io::Result<Request> {
     let mut line = String::new();
-    r.read_line(&mut line)?;
+    read_line_bounded(r, &mut line)?;
     let mut parts = line.split_whitespace();
     let (method, target) = match (parts.next(), parts.next()) {
         (Some(m), Some(t)) => (m.to_string(), t.to_string()),
@@ -137,12 +146,17 @@ pub fn read_request<R: BufRead>(r: &mut R) -> io::Result<Request> {
     };
 
     let mut content_length = 0usize;
+    let mut headers = 0usize;
     loop {
         let mut header = String::new();
-        r.read_line(&mut header)?;
+        read_line_bounded(r, &mut header)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(bad("too many headers"));
         }
         let Some((name, value)) = header.split_once(':') else {
             return Err(bad("malformed header"));
@@ -175,6 +189,16 @@ pub fn read_request<R: BufRead>(r: &mut R) -> io::Result<Request> {
         query,
         body,
     })
+}
+
+/// `read_line` that stops after [`MAX_LINE_BYTES`] and rejects a line
+/// still unterminated at that point.
+fn read_line_bounded<R: BufRead>(r: &mut R, line: &mut String) -> io::Result<()> {
+    let n = r.take(MAX_LINE_BYTES).read_line(line)?;
+    if n as u64 == MAX_LINE_BYTES && !line.ends_with('\n') {
+        return Err(bad("line too long"));
+    }
+    Ok(())
 }
 
 fn bad(message: &str) -> io::Error {
@@ -343,6 +367,11 @@ mod tests {
         assert!(read_request(&mut "GET\r\n\r\n".as_bytes()).is_err());
         let oversized = format!("GET / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", usize::MAX);
         assert!(read_request(&mut oversized.as_bytes()).is_err());
+        let long_line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_LINE_BYTES as usize));
+        assert!(read_request(&mut long_line.as_bytes()).is_err());
+        let headers = "X: y\r\n".repeat(MAX_HEADERS + 1);
+        let many_headers = format!("GET / HTTP/1.1\r\n{headers}\r\n");
+        assert!(read_request(&mut many_headers.as_bytes()).is_err());
     }
 
     #[test]

@@ -817,6 +817,9 @@ mod tests {
             assert_eq!(decoded.p_os.to_bits(), original.p_os.to_bits());
             assert_eq!(decoded.t_prev.to_bits(), original.t_prev.to_bits());
             assert_eq!(decoded.status_os, original.status_os);
+            // `lane_width` is provenance only: a journal recorded at a
+            // width this build no longer runs (8) still decodes.
+            assert_eq!(decoded.lane_width, 8);
         }
         assert!(decode_point(b"1 2 3").is_err(), "short record");
         assert!(decode_point(b"x 2 3 4 5 6 7 in-control in-control").is_err());
