@@ -80,7 +80,7 @@ pub use vb1::{Vb1Options, Vb1Posterior};
 pub use vb2::{
     SolverKind, Truncation, Vb2Options, Vb2Posterior, Vb2Scratch, Vb2Task, Vb2WarmStart,
 };
-// The lane-dispatch vocabulary travels with the fit options that use it.
-pub use nhpp_special::{SimdDispatch, SimdPolicy, WIDE_LANES};
+// The lane width recorded in `Vb2Posterior::lane_width` / `FitReport::lane_width`.
+pub use nhpp_special::WIDE_LANES;
 #[doc(hidden)]
 pub use vb2::zeta_probe;

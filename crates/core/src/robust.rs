@@ -219,12 +219,12 @@ pub struct FitReport {
     pub attempts: Vec<AttemptRecord>,
     /// Degradations and accommodations the caller should know about.
     pub warnings: Vec<String>,
-    /// SIMD lane width of the sweep that produced the posterior
-    /// (`nhpp_special::WIDE_LANES` when a wide VB2 path ran, `1` for
-    /// scalar sweeps and for the VB1/Laplace fallbacks). Recording it
-    /// here makes a supervised fit reproducible on any machine: replay
-    /// with the matching [`crate::SimdPolicy`] and the sweep is
-    /// bitwise identical.
+    /// Lane width of the sweep that produced the posterior
+    /// ([`crate::WIDE_LANES`] when the VB2 fit was eligible for the
+    /// lane sweep, `1` for scalar sweeps and for the VB1/Laplace
+    /// fallbacks). Provenance only: it follows from the data and
+    /// options of the producing attempt and is not a setting a replay
+    /// can choose.
     pub lane_width: usize,
 }
 
@@ -936,14 +936,14 @@ mod tests {
 
     #[test]
     fn report_records_lane_width_of_producing_sweep() {
-        use nhpp_special::{SimdPolicy, WIDE_LANES};
+        use nhpp_special::WIDE_LANES;
         let data: ObservedData = sys17::failure_times().into();
         let prior = NhppPrior::paper_info_times();
         // The default Auto fit takes the closed-form scalar path.
         let closed = fit_supervised(spec(), prior, &data, RobustOptions::default()).unwrap();
         assert_eq!(closed.report.lane_width, 1);
-        // A forced-wide successive-substitution fit rides the lanes,
-        // and the report pins the width for replay.
+        // A successive-substitution fit rides the lanes, and the
+        // report records the width.
         let wide = fit_supervised(
             spec(),
             prior,
@@ -951,7 +951,6 @@ mod tests {
             RobustOptions {
                 base: Vb2Options {
                     solver: SolverKind::SuccessiveSubstitution,
-                    lanes: SimdPolicy::ForceWide,
                     ..Vb2Options::default()
                 },
                 ..RobustOptions::default()
@@ -960,7 +959,7 @@ mod tests {
         .unwrap();
         assert_eq!(wide.report.lane_width, WIDE_LANES);
         // Fallback tiers are scalar: a budget-starved cascade that
-        // lands on VB1 reports width 1 even under a wide policy.
+        // lands on VB1 reports width 1 even when VB2 was eligible.
         let fallen = fit_supervised(
             spec(),
             prior,
@@ -968,7 +967,6 @@ mod tests {
             RobustOptions {
                 base: Vb2Options {
                     solver: SolverKind::SuccessiveSubstitution,
-                    lanes: SimdPolicy::ForceWide,
                     total_budget: Some(2),
                     ..Vb2Options::default()
                 },

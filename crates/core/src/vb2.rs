@@ -54,10 +54,7 @@ use nhpp_numeric::fixed_point::{
 };
 use nhpp_numeric::{parallel, Budget, NumericError, SharedBudget};
 use crate::endpoint::{ln_mass_between, mean_from_masses, tail_mean_from_masses_lane, Endpoint};
-use nhpp_special::{
-    ln_factorial, ln_gamma, LnGammaLadder, SimdDispatch, SimdPolicy, StreamingLogSumExp,
-    WIDE_LANES,
-};
+use nhpp_special::{ln_factorial, ln_gamma, LnGammaLadder, StreamingLogSumExp, WIDE_LANES};
 use std::cell::RefCell;
 use std::time::Duration;
 
@@ -161,17 +158,6 @@ pub struct Vb2Options {
     /// Forced numerical pathology (deterministic fault injection for
     /// the robustness tests; `None` in production).
     pub fault: Option<FaultKind>,
-    /// Lane policy for the component sweep's kernels: follow the
-    /// process-wide dispatch (`NHPP_SIMD`), or force the scalar or
-    /// 4-lane path. The width actually used is pinned into
-    /// the result ([`Vb2Posterior::lane_width`]); forcing it reproduces
-    /// a recorded run bitwise on any machine. The wide path engages
-    /// only where the sweep supports it — iterative substitution
-    /// sweeps over failure times (any integer `α₀ ≤ 8`) or grouped
-    /// counts (`α₀ = 1`), without fault injection (see `DESIGN.md`
-    /// §14 for the eligibility table) — everywhere else fits run
-    /// scalar and are bitwise identical under every policy.
-    pub lanes: SimdPolicy,
 }
 
 impl Default for Vb2Options {
@@ -187,7 +173,6 @@ impl Default for Vb2Options {
             init_scale: 1.0,
             threads: 1,
             fault: None,
-            lanes: SimdPolicy::Auto,
         }
     }
 }
@@ -530,7 +515,8 @@ pub struct Vb2Posterior {
     elbo: f64,
     n_max: u64,
     inner_iterations: usize,
-    /// Kernel lane width the sweep ran on (1 = scalar, 4/8 = wide).
+    /// Kernel lane width the sweep ran on (1 = scalar, `WIDE_LANES`
+    /// = lane sweep), fixed by [`wide_sweep_kind`].
     lane_width: usize,
 }
 
@@ -677,19 +663,19 @@ impl Vb2Posterior {
                 None
             },
             warm: warm.filter(|w| !w.is_empty()),
-            dispatch: options.lanes.resolve(),
+            #[cfg(test)]
+            scalar_sweep: tests::SCALAR_SWEEP.with(std::cell::Cell::get),
             grouped_agg: match (&summary, alpha0 == 1.0) {
                 (DataSummary::Grouped { bins, .. }, true) => GroupedAgg::build(bins),
                 _ => None,
             },
             options,
         };
-        // Pinned into the result: the lane width is part of the
-        // reproducibility contract (same data + options + lane width ⇒
-        // same bits, on any machine — dispatch is a software choice,
-        // never a CPU-feature probe).
+        // Recorded as provenance: a pure function of the fit's
+        // eligibility, so the same data and options give the same width
+        // (and the same bits) on any machine.
         let lane_width = if wide_sweep_kind(&ctx).is_some() {
-            ctx.dispatch.lane_width()
+            WIDE_LANES
         } else {
             1
         };
@@ -896,11 +882,12 @@ impl Vb2Posterior {
         self.inner_iterations
     }
 
-    /// The kernel lane width the component sweep actually ran on:
-    /// `1` (scalar kernels) or [`WIDE_LANES`]. Part of the
-    /// reproducibility contract — re-running with the same data,
-    /// options and a [`SimdPolicy`] forcing this width reproduces the
-    /// posterior bitwise on any machine.
+    /// The kernel lane width the component sweep ran on: [`WIDE_LANES`]
+    /// when the fit is eligible for the lane sweep (see `DESIGN.md`
+    /// §14), `1` otherwise. Provenance only — the width is fixed by the
+    /// data and options, not a setting, so it cannot select how a fit
+    /// is replayed; the same data and options reproduce the posterior
+    /// bitwise on any machine.
     pub fn lane_width(&self) -> usize {
         self.lane_width
     }
@@ -970,9 +957,10 @@ struct FitContext<'a> {
     /// lookup is a pure function of `N`, so warm fits keep the bitwise
     /// thread-count determinism of cold fits.
     warm: Option<&'a Vb2WarmStart>,
-    /// The resolved lane dispatch (policy against the process default),
-    /// fixed once per fit so every chunk sees the same kernels.
-    dispatch: SimdDispatch,
+    /// Sends an eligible fit through the scalar loop, so the unit
+    /// tests can check each lane map against it.
+    #[cfg(test)]
+    scalar_sweep: bool,
     /// Per-distinct-width aggregates of the grouped bins, built once
     /// per fit when the lane sweep's closed-form ΔG terms apply
     /// (grouped data, `α₀ = 1`); `None` otherwise.
@@ -1124,8 +1112,11 @@ enum LaneKind {
 /// `α₀ ≠ 1`, Newton/bisection solvers, fault injection — keeps the
 /// scalar path, bitwise unchanged from previous releases.
 fn wide_sweep_kind(ctx: &FitContext) -> Option<LaneKind> {
-    if ctx.dispatch == SimdDispatch::Scalar
-        || uses_closed_form(ctx)
+    #[cfg(test)]
+    if ctx.scalar_sweep {
+        return None;
+    }
+    if uses_closed_form(ctx)
         || ctx.options.fault.is_some()
         || !matches!(
             ctx.options.solver,
@@ -1777,6 +1768,28 @@ impl Posterior for Vb2Posterior {
 mod tests {
     use super::*;
     use nhpp_data::sys17;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Read by `fit_impl` into [`FitContext::scalar_sweep`]; set only
+        /// inside [`fit_scalar_sweep`].
+        pub(super) static SCALAR_SWEEP: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Fits through the scalar `solve_component` loop even where the
+    /// lane sweep is eligible — the reference the lane maps are
+    /// checked against.
+    fn fit_scalar_sweep(
+        spec: ModelSpec,
+        prior: NhppPrior,
+        data: &ObservedData,
+        options: Vb2Options,
+    ) -> Vb2Posterior {
+        SCALAR_SWEEP.with(|s| s.set(true));
+        let post = Vb2Posterior::fit(spec, prior, data, options);
+        SCALAR_SWEEP.with(|s| s.set(false));
+        post.unwrap()
+    }
 
     fn spec() -> ModelSpec {
         ModelSpec::goel_okumoto()
@@ -2200,7 +2213,8 @@ mod tests {
         let data: ObservedData = sys17::failure_times().into();
         let prior = NhppPrior::paper_info_times();
         // Iterative solver + a multi-chunk flat-prior range, so the
-        // warm-start chains genuinely matter.
+        // warm-start chains genuinely matter. The scalar loop runs
+        // here; its lane-sweep twin is the test below.
         let options = Vb2Options {
             solver: SolverKind::SuccessiveSubstitution,
             truncation: Truncation::AdaptiveCapped {
@@ -2209,15 +2223,11 @@ mod tests {
             },
             ..Vb2Options::default()
         };
-        let serial = Vb2Posterior::fit(spec(), prior, &data, options).unwrap();
+        let serial = fit_scalar_sweep(spec(), prior, &data, options);
+        assert_eq!(serial.lane_width(), 1);
         for threads in [2usize, 8] {
-            let parallel = Vb2Posterior::fit(
-                spec(),
-                prior,
-                &data,
-                Vb2Options { threads, ..options },
-            )
-            .unwrap();
+            let parallel =
+                fit_scalar_sweep(spec(), prior, &data, Vb2Options { threads, ..options });
             assert_eq!(bits(&parallel), bits(&serial), "threads={threads}");
         }
     }
@@ -2230,26 +2240,8 @@ mod tests {
             solver: SolverKind::SuccessiveSubstitution,
             ..Vb2Options::default()
         };
-        let scalar = Vb2Posterior::fit(
-            spec(),
-            prior,
-            &data,
-            Vb2Options {
-                lanes: SimdPolicy::ForceScalar,
-                ..base
-            },
-        )
-        .unwrap();
-        let wide = Vb2Posterior::fit(
-            spec(),
-            prior,
-            &data,
-            Vb2Options {
-                lanes: SimdPolicy::ForceWide,
-                ..base
-            },
-        )
-        .unwrap();
+        let scalar = fit_scalar_sweep(spec(), prior, &data, base);
+        let wide = Vb2Posterior::fit(spec(), prior, &data, base).unwrap();
         assert_eq!(scalar.lane_width(), 1);
         assert_eq!(wide.lane_width(), WIDE_LANES);
         // Different iterate sequences, same fixed points: moments agree
@@ -2257,27 +2249,21 @@ mod tests {
         assert!((scalar.mean_omega() - wide.mean_omega()).abs() < 1e-8 * scalar.mean_omega());
         assert!((scalar.mean_beta() - wide.mean_beta()).abs() < 1e-8 * scalar.mean_beta());
         assert!((scalar.elbo() - wide.elbo()).abs() < 1e-6);
-        // Each lane width is individually deterministic: repeating the
-        // fit reproduces it bitwise.
-        for (policy, first) in [(SimdPolicy::ForceScalar, &scalar), (SimdPolicy::ForceWide, &wide)]
-        {
-            let again = Vb2Posterior::fit(
-                spec(),
-                prior,
-                &data,
-                Vb2Options {
-                    lanes: policy,
-                    ..base
-                },
-            )
-            .unwrap();
-            assert_eq!(bits(&again), bits(first), "{policy:?}");
-        }
+        // Each sweep is individually deterministic: repeating the fit
+        // reproduces it bitwise.
+        assert_eq!(
+            bits(&fit_scalar_sweep(spec(), prior, &data, base)),
+            bits(&scalar)
+        );
+        assert_eq!(
+            bits(&Vb2Posterior::fit(spec(), prior, &data, base).unwrap()),
+            bits(&wide)
+        );
     }
 
     #[test]
     fn wide_parallel_fit_is_bitwise_identical_to_serial() {
-        // The ForceWide twin of the thread-determinism test: quad
+        // The lane-sweep twin of the thread-determinism test: block
         // boundaries are chunk-local, so the lane path must also be a
         // pure function of the solved N-range.
         let data: ObservedData = sys17::failure_times().into();
@@ -2288,7 +2274,6 @@ mod tests {
                 epsilon: 5e-15,
                 cap: 400,
             },
-            lanes: SimdPolicy::ForceWide,
             ..Vb2Options::default()
         };
         let serial = Vb2Posterior::fit(spec(), prior, &data, options).unwrap();
@@ -2304,16 +2289,13 @@ mod tests {
     #[test]
     fn ineligible_sweeps_report_scalar_lane_width() {
         // The closed-form path and non-substitution solvers never take
-        // the lanes, even when the policy asks for them.
+        // the lanes.
         let times: ObservedData = sys17::failure_times().into();
         let closed = Vb2Posterior::fit(
             spec(),
             NhppPrior::paper_info_times(),
             &times,
-            Vb2Options {
-                lanes: SimdPolicy::ForceWide,
-                ..Vb2Options::default()
-            },
+            Vb2Options::default(),
         )
         .unwrap();
         assert_eq!(closed.lane_width(), 1);
@@ -2323,7 +2305,6 @@ mod tests {
             &times,
             Vb2Options {
                 solver: SolverKind::Newton,
-                lanes: SimdPolicy::ForceWide,
                 ..Vb2Options::default()
             },
         )
@@ -2337,7 +2318,6 @@ mod tests {
             &sys17::grouped().into(),
             Vb2Options {
                 solver: SolverKind::SuccessiveSubstitution,
-                lanes: SimdPolicy::ForceWide,
                 ..Vb2Options::default()
             },
         )
@@ -2370,27 +2350,9 @@ mod tests {
                 solver: SolverKind::SuccessiveSubstitution,
                 ..Vb2Options::default()
             };
-            let wide = Vb2Posterior::fit(
-                spec,
-                prior,
-                data,
-                Vb2Options {
-                    lanes: SimdPolicy::ForceWide,
-                    ..base
-                },
-            )
-            .unwrap();
+            let wide = Vb2Posterior::fit(spec, prior, data, base).unwrap();
             assert_eq!(wide.lane_width(), WIDE_LANES, "{label}");
-            let scalar = Vb2Posterior::fit(
-                spec,
-                prior,
-                data,
-                Vb2Options {
-                    lanes: SimdPolicy::ForceScalar,
-                    ..base
-                },
-            )
-            .unwrap();
+            let scalar = fit_scalar_sweep(spec, prior, data, base);
             assert_eq!(scalar.lane_width(), 1, "{label}");
             assert!(
                 (wide.mean_omega() - scalar.mean_omega()).abs() < 1e-8 * scalar.mean_omega(),
@@ -2410,7 +2372,6 @@ mod tests {
         let prior = NhppPrior::paper_info_times();
         let options = Vb2Options {
             solver: SolverKind::SuccessiveSubstitution,
-            lanes: SimdPolicy::ForceWide,
             ..Vb2Options::default()
         };
         let cold = Vb2Posterior::fit(spec(), prior, &data, options).unwrap();

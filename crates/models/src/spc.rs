@@ -23,7 +23,7 @@
 //!
 //! Both statistics are pure functions of `(posterior, t, τ)`, so they
 //! inherit the posterior's determinism contract: bitwise identical
-//! across thread counts for a fixed SIMD dispatch.
+//! across thread counts.
 
 use crate::model::GammaNhpp;
 use crate::posterior::Posterior;

@@ -98,6 +98,7 @@ impl Response {
             400 => "Bad Request",
             404 => "Not Found",
             405 => "Method Not Allowed",
+            408 => "Request Timeout",
             409 => "Conflict",
             413 => "Payload Too Large",
             500 => "Internal Server Error",

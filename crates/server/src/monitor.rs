@@ -28,9 +28,9 @@
 //!
 //! # Determinism and persistence
 //!
-//! Chart statistics are pure functions of `(posterior, t, τ)`, so for a
-//! fixed SIMD dispatch the chart state is bitwise identical across
-//! server thread counts (the posterior already is, per DESIGN §14).
+//! Chart statistics are pure functions of `(posterior, t, τ)`, so the
+//! chart state is bitwise identical across server thread counts (the
+//! posterior already is, per DESIGN §14).
 //! Points and alerts are journalled to `<id>.mon` through the same
 //! [`Storage`] backend as the project logs, as CRC-framed text records
 //! whose floats round-trip bitwise through `f64` `Display`. Recovery
@@ -135,7 +135,7 @@ pub struct ChartPoint {
     pub index: u64,
     /// Data version of the fit the point was scored against.
     pub fit_version: u64,
-    /// SIMD lane width recorded by that fit (replay provenance).
+    /// Lane width recorded by that fit (provenance).
     pub lane_width: u64,
     /// Previous failure time.
     pub t_prev: f64,

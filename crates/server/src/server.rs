@@ -16,14 +16,14 @@
 //! what was already admitted, and the registry takes a final
 //! crash-consistent snapshot so the next start replays only a tail.
 
-use crate::http::{read_request, Response};
+use crate::http::{read_request, Request, Response};
 use crate::metrics::Metrics;
 use crate::registry::{DurabilityPolicy, Registry};
 use crate::routes;
 use crate::scheduler::{flush_stale, FitCache, FitSettings};
 use nhpp_vb::CalibrationDictionary;
 use std::collections::VecDeque;
-use std::io::{self, BufReader, Read as _, Write as _};
+use std::io::{self, BufReader, ErrorKind, Read, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -221,7 +221,7 @@ impl Server {
             // after close, and returns `None` only once the queue is
             // closed *and* empty.
             while let Some(stream) = queue.pop() {
-                handle_connection(stream, state);
+                handle_connection(stream, state, REQUEST_DEADLINE);
             }
         });
 
@@ -444,18 +444,60 @@ fn shed(mut stream: TcpStream, state: &AppState) {
     state.metrics.observe_request(503, Duration::ZERO);
 }
 
-fn handle_connection(stream: TcpStream, state: &AppState) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+/// Total time one request may take to arrive: request line, headers
+/// and body together. Not a per-read timeout, so a client trickling a
+/// byte at a time cannot hold a worker past it.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
+
+/// A socket reader whose reads all share one deadline: before each
+/// read the socket timeout shrinks to the time left.
+struct DeadlineReader {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(
+                ErrorKind::TimedOut,
+                "request deadline exceeded",
+            ));
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+/// Reads one request from `stream`, all of it within `deadline`, and
+/// hands the stream back for the response.
+fn read_request_within(stream: TcpStream, deadline: Duration) -> (TcpStream, io::Result<Request>) {
+    let mut reader = BufReader::new(DeadlineReader {
+        stream,
+        deadline: Instant::now() + deadline,
+    });
+    let request = read_request(&mut reader);
+    (reader.into_inner().stream, request)
+}
+
+fn handle_connection(stream: TcpStream, state: &AppState, deadline: Duration) {
     let peer = stream
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "-".to_string());
-    let mut reader = BufReader::new(stream);
     let started = Instant::now();
-    let (request, response) = match read_request(&mut reader) {
+    let (mut stream, request) = read_request_within(stream, deadline);
+    let (request, response) = match request {
         Ok(req) => {
             let resp = routes::handle(state, &req);
             (Some(req), resp)
+        }
+        // A socket read timeout surfaces as `WouldBlock` on Unix and
+        // `TimedOut` elsewhere; both mean the deadline ran out.
+        Err(err) if matches!(err.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) => {
+            let body = "{\"error\": \"request deadline exceeded\"}";
+            (None, Response::json(408, body.to_string()))
         }
         Err(err) => (
             None,
@@ -479,7 +521,6 @@ fn handle_connection(stream: TcpStream, state: &AppState) {
             elapsed.as_secs_f64() * 1000.0,
         );
     }
-    let mut stream = reader.into_inner();
     let _ = response.write_to(&mut stream);
     let _ = stream.flush();
 }
@@ -558,6 +599,83 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 503"), "{text}");
         assert!(text.contains("Retry-After: 3\r\n"), "{text}");
         assert_eq!(state.metrics.requests_shed.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn trickling_client_is_cut_off_at_the_request_deadline() {
+        let state = AppState {
+            registry: Registry::open(None).unwrap(),
+            metrics: Metrics::new(),
+            fit: FitSettings::default(),
+            cache: FitCache::new(0),
+            retry_after_secs: 1,
+            calibration: None,
+            monitor: None,
+            quiet: true,
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // One byte every 50 ms never trips a per-read timeout; only the
+        // total deadline stops it. The client's own read timeout paces
+        // the trickle and collects the reply once the server answers.
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_millis(50)))
+                .unwrap();
+            let mut reply = Vec::new();
+            let trickle = b"GET /healthz HTTP/1.1\r\nX-Slow: "
+                .iter()
+                .cycle()
+                .take(200);
+            for &byte in trickle {
+                if stream.write_all(&[byte]).is_err() || stream.read_to_end(&mut reply).is_ok() {
+                    break;
+                }
+            }
+            let _ = stream.read_to_end(&mut reply);
+            String::from_utf8_lossy(&reply).into_owned()
+        });
+        let (server_side, _) = listener.accept().unwrap();
+        let started = Instant::now();
+        handle_connection(server_side, &state, Duration::from_millis(300));
+        let waited = started.elapsed();
+        assert!(waited >= Duration::from_millis(300), "{waited:?}");
+        assert!(
+            waited < Duration::from_secs(5),
+            "deadline not enforced: {waited:?}"
+        );
+        let text = client.join().unwrap();
+        assert!(text.starts_with("HTTP/1.1 408 Request Timeout"), "{text}");
+        assert!(text.contains("Connection: close\r\n"), "{text}");
+        assert_eq!(state.metrics.requests_4xx.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn request_within_deadline_still_parses() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            // Split across writes so the parse spans several reads.
+            for part in [
+                "POST /projects/p/events?x=1 HTTP/1.1\r\n",
+                "Content-Length: 4\r\n\r\n",
+                "1\n2\n",
+            ] {
+                stream.write_all(part.as_bytes()).unwrap();
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            stream
+        });
+        let (server_side, _) = listener.accept().unwrap();
+        let (_stream, request) = read_request_within(server_side, Duration::from_secs(10));
+        let _client = client.join().unwrap();
+        let request = request.unwrap();
+        assert_eq!(request.method, "POST");
+        assert_eq!(request.path, "/projects/p/events");
+        assert_eq!(request.param("x"), Some("1"));
+        assert_eq!(request.body, b"1\n2\n");
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Chart-update determinism suite (DESIGN §16): the streaming monitor's
-//! journalled state is a pure function of the ingested data and the
-//! SIMD dispatch — for a fixed forced lane width, every fit thread
-//! count must produce bitwise-identical `.mon` journals, because the
-//! chart statistics are pure functions of `(posterior, t, τ)` and the
-//! posterior itself is bitwise-stable across thread counts (§14).
+//! journalled state is a pure function of the ingested data — every fit
+//! thread count must produce bitwise-identical `.mon` journals, because
+//! the chart statistics are pure functions of `(posterior, t, τ)` and
+//! the posterior itself is bitwise-stable across thread counts (§14).
 //!
 //! The workload deliberately crosses every monitor code path: a
 //! deferred first ingest, a catch-up fit through the chart route, an
@@ -17,7 +16,7 @@ use nhpp_serve::{
     AppState, DurabilityPolicy, FitCache, MemStorage, Metrics, Monitor, MonitorConfig, Registry,
     Request, Storage,
 };
-use nhpp_vb::SimdPolicy;
+use nhpp_vb::WIDE_LANES;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -55,18 +54,18 @@ fn burst_batch() -> String {
     text
 }
 
-/// One complete monitored workload under a forced dispatch and thread
-/// count; returns the raw `.mon` journal, the alert total, and the
-/// final chart-route body.
-fn run(lanes: SimdPolicy, threads: usize) -> (Vec<u8>, u64, String) {
+/// One complete monitored workload at a fit thread count; returns the
+/// raw `.mon` journal, the alert total, and the final chart-route body.
+fn run(threads: usize) -> (Vec<u8>, u64, String) {
     let mem = Arc::new(MemStorage::new());
     let storage: Arc<dyn Storage> = mem.clone();
     let registry =
         Registry::open_with(storage, DurabilityPolicy::default()).expect("registry opens");
     let monitor = Monitor::recover(MonitorConfig::default(), &registry).expect("monitor recovers");
-    let mut fit = FitSettings::default();
-    fit.options.base.lanes = lanes;
-    fit.threads = threads;
+    let fit = FitSettings {
+        threads,
+        ..FitSettings::default()
+    };
     let state = AppState {
         registry,
         metrics: Metrics::new(),
@@ -79,8 +78,8 @@ fn run(lanes: SimdPolicy, threads: usize) -> (Vec<u8>, u64, String) {
     };
 
     // Delayed s-shaped (alpha0 = 2) on times data goes through the
-    // lane-parallel recurrence, so the forced dispatch is genuinely
-    // recorded; GO/times would take the closed form and pin width 1.
+    // lane-parallel recurrence, so the lane sweep is genuinely
+    // exercised; GO/times would take the closed form and record width 1.
     let create = handle(
         &state,
         &request(
@@ -120,50 +119,23 @@ fn run(lanes: SimdPolicy, threads: usize) -> (Vec<u8>, u64, String) {
 
 #[test]
 fn chart_journals_are_bitwise_identical_across_thread_counts() {
-    for (lanes, width) in [
-        (SimdPolicy::ForceScalar, 1u64),
-        (SimdPolicy::ForceWide, 4),
-    ] {
-        let (reference, alerts, body) = run(lanes, 1);
-        assert_eq!(alerts, 2, "{lanes:?}");
-        assert!(
-            body.contains(&format!("\"lane_width\": {width}")),
-            "{lanes:?}: recorded lane width should be {width}: {body}"
+    let (reference, alerts, body) = run(1);
+    assert_eq!(alerts, 2);
+    assert!(
+        body.contains(&format!("\"lane_width\": {WIDE_LANES}")),
+        "recorded lane width should be {WIDE_LANES}: {body}"
+    );
+    assert!(body.contains("\"scored_through\": 43"), "{body}");
+    for threads in [2usize, 8] {
+        let (journal, alerts, other_body) = run(threads);
+        assert_eq!(alerts, 2, "x{threads}");
+        assert_eq!(
+            journal, reference,
+            ".mon journal differs between 1 and {threads} fit threads"
         );
-        assert!(
-            body.contains("\"scored_through\": 43"),
-            "{lanes:?}: {body}"
+        assert_eq!(
+            other_body, body,
+            "chart route body differs between 1 and {threads} fit threads"
         );
-        for threads in [2usize, 8] {
-            let (journal, alerts, other_body) = run(lanes, threads);
-            assert_eq!(alerts, 2, "{lanes:?} x{threads}");
-            assert_eq!(
-                journal, reference,
-                "{lanes:?}: .mon journal differs between 1 and {threads} fit threads"
-            );
-            assert_eq!(
-                other_body, body,
-                "{lanes:?}: chart route body differs between 1 and {threads} fit threads"
-            );
-        }
     }
-}
-
-/// The recorded `lane_width` provenance is enough to replay a journal
-/// bitwise: re-running under the dispatch a journal records reproduces
-/// that journal exactly (here: every forced width reproduces itself,
-/// and different widths genuinely record different provenance).
-#[test]
-fn recorded_lane_width_replays_bitwise() {
-    let (scalar, _, _) = run(SimdPolicy::ForceScalar, 2);
-    let (scalar_again, _, _) = run(SimdPolicy::ForceScalar, 4);
-    assert_eq!(scalar, scalar_again, "scalar replay must be bitwise");
-    let (wide, _, _) = run(SimdPolicy::ForceWide, 2);
-    let (wide_again, _, _) = run(SimdPolicy::ForceWide, 4);
-    assert_eq!(wide, wide_again, "wide replay must be bitwise");
-    assert_ne!(scalar, wide, "the two widths record different journals");
-    let text_scalar = String::from_utf8_lossy(&scalar).to_string();
-    let text_wide = String::from_utf8_lossy(&wide).to_string();
-    assert!(text_scalar.contains(" 1 "), "scalar provenance recorded");
-    assert!(text_wide.contains(" 4 "), "wide provenance recorded");
 }

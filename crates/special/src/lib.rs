@@ -52,7 +52,4 @@ pub use recurrence::{
     ln_gamma_p_step, ln_gamma_q_step, LnGammaLadder, REANCHOR_PERIOD,
 };
 pub use normal::{norm_cdf, norm_ln_pdf, norm_pdf, norm_ppf, norm_sf};
-pub use wide::{
-    active_simd, exp_lane, ln_gamma_q_step_lane, log_sum_exp_x4, SimdDispatch, SimdPolicy,
-    WIDE_LANES,
-};
+pub use wide::{exp_lane, ln_gamma_q_step_lane, WIDE_LANES};

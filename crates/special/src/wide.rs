@@ -1,91 +1,31 @@
 //! Portable lane-parallel (SIMD-style) kernels for the sweep hot loops.
 //!
-//! The VB2 component sweep and the NINT grid passes spend their time in
-//! long runs of *independent* per-element evaluations: one fixed point
-//! per candidate `N`, one log-posterior cell per quadrature node. The
-//! callers batch [`WIDE_LANES`] such elements into plain `[f64; L]`
+//! The VB2 component sweep spends its time in long runs of
+//! *independent* per-element evaluations: one fixed point per
+//! candidate `N`. The sweep batches [`WIDE_LANES`] such elements into plain `[f64; L]`
 //! blocks and evaluate them elementwise through the per-lane kernels
 //! here ([`exp_lane`], [`ln_gamma_q_step_lane`]), which modern
 //! compilers lower to vector instructions (and which pipeline well even
 //! without them — four independent divisions or polynomial chains
 //! overlap in the out-of-order core where one serial chain cannot).
 //!
-//! # Dispatch and determinism
+//! # Determinism
 //!
-//! The lane width is a *software* choice, never a CPU-feature probe:
-//! [`active_simd`] consults the `NHPP_SIMD` environment variable once
-//! per process (`scalar` forces the plain kernels) and otherwise picks
-//! the 4-lane path. Because no `cpuid`-style detection is involved, a
-//! recorded lane width plus the same inputs reproduces a run bitwise on
-//! any machine. Callers pin the width they used into their results (see
-//! `Vb2Posterior::lane_width` / `FitReport::lane_width` in `nhpp-vb`).
+//! There is one lane width, [`WIDE_LANES`], and no dispatch switch:
+//! whether a sweep runs on the lanes follows from the fit alone (the
+//! VB2 eligibility gate in `nhpp-vb`), never from the environment or a
+//! CPU-feature probe. A fit's results are therefore a pure function of
+//! its data and options on any machine, and the width a sweep ran at
+//! is recorded as provenance (`Vb2Posterior::lane_width` /
+//! `FitReport::lane_width` in `nhpp-vb`).
 //!
-//! Wide and scalar kernels may differ from each other by a few ulps
-//! (the lane exponential is a polynomial kernel, not libm), but each is
-//! individually deterministic: same inputs, same lane width, same bits,
-//! independent of thread count.
-
-use std::sync::OnceLock;
+//! The lane kernels may differ from their scalar counterparts by a few
+//! ulps (the lane exponential is a polynomial kernel, not libm), but
+//! each is deterministic: same inputs, same bits, independent of
+//! thread count and of the block width.
 
 /// Lane count of the 4-wide kernels.
 pub const WIDE_LANES: usize = 4;
-
-/// Which kernel family a sweep runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimdDispatch {
-    /// Plain one-element kernels (the pre-lane code paths, unchanged).
-    Scalar,
-    /// Four-lane struct-of-arrays kernels.
-    Wide4,
-}
-
-impl SimdDispatch {
-    /// The lane width this dispatch evaluates per step.
-    pub fn lane_width(self) -> usize {
-        match self {
-            SimdDispatch::Scalar => 1,
-            SimdDispatch::Wide4 => WIDE_LANES,
-        }
-    }
-}
-
-/// A caller-facing lane policy: follow the process-wide dispatch or
-/// force one side (tests and reproduction runs pin the width this way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimdPolicy {
-    /// Use [`active_simd`] (wide unless `NHPP_SIMD` forces otherwise).
-    #[default]
-    Auto,
-    /// Force the scalar kernels.
-    ForceScalar,
-    /// Force the 4-lane kernels (where the caller supports them).
-    ForceWide,
-}
-
-impl SimdPolicy {
-    /// Resolves the policy against the process-wide default.
-    pub fn resolve(self) -> SimdDispatch {
-        match self {
-            SimdPolicy::Auto => active_simd(),
-            SimdPolicy::ForceScalar => SimdDispatch::Scalar,
-            SimdPolicy::ForceWide => SimdDispatch::Wide4,
-        }
-    }
-}
-
-static ACTIVE: OnceLock<SimdDispatch> = OnceLock::new();
-
-/// The process-wide kernel dispatch, decided once: `NHPP_SIMD=scalar`
-/// (or `off`/`0`) forces the scalar kernels, and anything else — `wide4`,
-/// `wide`, or the variable being unset — selects the 4-lane kernels.
-/// Purely a software switch; no CPU feature detection is involved, so
-/// the choice (and therefore every result) reproduces on any machine.
-pub fn active_simd() -> SimdDispatch {
-    *ACTIVE.get_or_init(|| match std::env::var("NHPP_SIMD").as_deref() {
-        Ok("scalar") | Ok("off") | Ok("0") => SimdDispatch::Scalar,
-        _ => SimdDispatch::Wide4,
-    })
-}
 
 /// `exp(x)` through a branch-free polynomial kernel, accurate to a
 /// couple of ulps. Every lane of a block and every ragged-tail element
@@ -194,82 +134,11 @@ fn log_sum_exp_pair_lane(a: f64, b: f64) -> f64 {
     hi + exp_lane(lo - hi).ln_1p()
 }
 
-/// Batch `ln Σ exp(xᵢ)` over a slice on the lane kernels — the wide
-/// counterpart of [`crate::log_sum_exp`], used by the NINT grid
-/// normalisation. Two passes like the scalar batch function: per-lane
-/// maxima, then an [`exp_lane`] sum with one Kahan accumulator per lane,
-/// the remainder folded into lane 0 and the lanes merged in the fixed
-/// order `(s0+s1)+(s2+s3)`. Same special-value semantics: `−∞` entries
-/// contribute nothing, any `+∞` makes the total `+∞`, any NaN makes it
-/// NaN.
-pub fn log_sum_exp_x4(values: &[f64]) -> f64 {
-    // Pass 1: per-lane maxima and NaN detection, branch-light so the
-    // loop vectorises (`v > m` is false for NaN, so a NaN never
-    // becomes the max; the flag is folded separately).
-    let mut maxes = [f64::NEG_INFINITY; WIDE_LANES];
-    let mut saw_nan = false;
-    let mut chunks = values.chunks_exact(WIDE_LANES);
-    for chunk in &mut chunks {
-        for (m, &v) in maxes.iter_mut().zip(chunk) {
-            saw_nan |= v.is_nan();
-            if v > *m {
-                *m = v;
-            }
-        }
-    }
-    let mut max = f64::NEG_INFINITY;
-    for m in maxes {
-        if m > max {
-            max = m;
-        }
-    }
-    for &v in chunks.remainder() {
-        saw_nan |= v.is_nan();
-        if v > max {
-            max = v;
-        }
-    }
-    if saw_nan {
-        return f64::NAN;
-    }
-    if max.is_infinite() {
-        return max;
-    }
-
-    // Pass 2: Σ exp(xᵢ − max), Kahan-compensated per lane. `−∞`
-    // entries exponentiate to exactly `0.0` through the clamped
-    // kernel, contributing nothing.
-    let mut sums = [0.0; WIDE_LANES];
-    let mut comps = [0.0; WIDE_LANES];
-    let mut chunks = values.chunks_exact(WIDE_LANES);
-    for chunk in &mut chunks {
-        for ((s, c), &v) in sums.iter_mut().zip(comps.iter_mut()).zip(chunk) {
-            let t = exp_lane(v - max);
-            let y = t - *c;
-            let next = *s + y;
-            *c = (next - *s) - y;
-            *s = next;
-        }
-    }
-    for &v in chunks.remainder() {
-        let t = exp_lane(v - max);
-        let y = t - comps[0];
-        let next = sums[0] + y;
-        comps[0] = (next - sums[0]) - y;
-        sums[0] = next;
-    }
-    // Fixed-order merge: deterministic for any input.
-    let s = (sums[0] + sums[1]) + (sums[2] + sums[3]);
-    let c = (comps[0] + comps[1]) + (comps[2] + comps[3]);
-    max + (s - c).ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gamma::ln_gamma;
     use crate::incgamma::ln_gamma_q;
-    use crate::logsumexp::log_sum_exp;
 
     #[test]
     fn exp_lane_matches_libm_to_couple_ulps() {
@@ -331,59 +200,5 @@ mod tests {
         );
         assert!(ln_gamma_q_step_lane(-1.0, 1.0, 0.0, 0.0, gln1).is_nan());
         assert!(ln_gamma_q_step_lane(2.0, 1.0, 0.0, f64::NAN, gln1).is_nan());
-    }
-
-    #[test]
-    fn streaming_x4_matches_batch() {
-        let cases: Vec<Vec<f64>> = vec![
-            vec![],
-            vec![0.0],
-            vec![0.0, 0.0, 0.0, 0.0],
-            vec![-1000.0, -1000.0, -999.5, -1001.0, -1000.2],
-            (0..37).map(|k| -(k as f64) * 3.7).collect(),
-            vec![700.0, -700.0, 3.0, 2.0, 1.0],
-            vec![f64::NEG_INFINITY; 5],
-            vec![f64::NEG_INFINITY, -4.0, -5.0, -6.0],
-            vec![f64::INFINITY, 0.0, 1.0, 2.0],
-            vec![f64::NAN, 0.0, 1.0, 2.0],
-        ];
-        for case in &cases {
-            let batch = log_sum_exp(case);
-            let wide = log_sum_exp_x4(case);
-            if batch.is_nan() {
-                assert!(wide.is_nan(), "{case:?}");
-            } else if batch.is_finite() {
-                assert!(
-                    (batch - wide).abs() <= 1e-12 * batch.abs().max(1.0),
-                    "{case:?}: wide={wide}, batch={batch}"
-                );
-            } else {
-                assert_eq!(batch, wide, "{case:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn tree_sum_matches_fixed_bracketing() {
-        // One element per lane; e^-37 lies between a quarter and a half
-        // ulp of 1, so the sequential sum ((1 + 0) + t) + t rounds back
-        // to 1 while the pairwise merge (1 + 0) + (t + t) does not.
-        let values = [0.0, f64::NEG_INFINITY, -37.0, -37.0];
-        let t = exp_lane(-37.0);
-        assert_eq!((1.0 + t) + t, 1.0);
-        let want = (1.0 + (t + t)).ln();
-        assert!(want > 0.0);
-        assert_eq!(log_sum_exp_x4(&values).to_bits(), want.to_bits());
-    }
-
-    #[test]
-    fn dispatch_policy_resolution() {
-        assert_eq!(SimdPolicy::ForceScalar.resolve(), SimdDispatch::Scalar);
-        assert_eq!(SimdPolicy::ForceWide.resolve(), SimdDispatch::Wide4);
-        assert_eq!(SimdDispatch::Scalar.lane_width(), 1);
-        assert_eq!(SimdDispatch::Wide4.lane_width(), 4);
-        // Auto resolves to whatever the process-wide switch says; both
-        // sides are legal, it just must be stable.
-        assert_eq!(SimdPolicy::Auto.resolve(), SimdPolicy::Auto.resolve());
     }
 }

@@ -15,7 +15,7 @@
 use nhpp_bench::Scenario;
 use nhpp_models::{ModelSpec, Posterior};
 use nhpp_vb::{
-    Calibration, SimdPolicy, SolverKind, Vb1Options, Vb1Posterior, Vb2Options, Vb2Posterior,
+    Calibration, SolverKind, Vb1Options, Vb1Posterior, Vb2Options, Vb2Posterior, WIDE_LANES,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -144,40 +144,39 @@ fn thread_counts() -> Vec<usize> {
 #[test]
 fn calibrated_intervals_are_bitwise_deterministic_across_threads_and_lanes() {
     // Calibration is a pure function of the posterior's quantiles, so
-    // the lane/thread determinism contract (DESIGN.md §9/§14) must
-    // extend verbatim to calibrated output: within a forced dispatch,
-    // every thread count yields bit-identical calibrated endpoints.
+    // the thread determinism contract (DESIGN.md §9/§14) must extend
+    // verbatim to calibrated output: on the lane sweep (successive
+    // substitution), every thread count yields bit-identical
+    // calibrated endpoints.
     let scenario = Scenario::dt_info();
     let spec = ModelSpec::goel_okumoto();
     let cal = Calibration::new(1.625);
-    for policy in [SimdPolicy::ForceScalar, SimdPolicy::ForceWide] {
-        let options = |threads: usize| Vb2Options {
-            solver: SolverKind::SuccessiveSubstitution,
-            lanes: policy,
-            threads,
-            ..scenario.vb2_options()
-        };
-        let mut reference: Option<Vec<u64>> = None;
-        for threads in thread_counts() {
-            let post =
-                Vb2Posterior::fit(spec, scenario.prior, &scenario.data, options(threads)).unwrap();
-            let (w_lo, w_hi) = cal.interval_omega(&post, 0.95);
-            let (b_lo, b_hi) = cal.interval_beta(&post, 0.95);
-            let p = cal.spc_statistic(0.9, 0.5);
-            let bits = vec![
-                w_lo.to_bits(),
-                w_hi.to_bits(),
-                b_lo.to_bits(),
-                b_hi.to_bits(),
-                p.to_bits(),
-            ];
-            match &reference {
-                None => reference = Some(bits),
-                Some(expected) => assert!(
-                    *expected == bits,
-                    "{policy:?} calibrated interval diverged at threads={threads}"
-                ),
-            }
+    let options = |threads: usize| Vb2Options {
+        solver: SolverKind::SuccessiveSubstitution,
+        threads,
+        ..scenario.vb2_options()
+    };
+    let mut reference: Option<Vec<u64>> = None;
+    for threads in thread_counts() {
+        let post =
+            Vb2Posterior::fit(spec, scenario.prior, &scenario.data, options(threads)).unwrap();
+        assert_eq!(post.lane_width(), WIDE_LANES);
+        let (w_lo, w_hi) = cal.interval_omega(&post, 0.95);
+        let (b_lo, b_hi) = cal.interval_beta(&post, 0.95);
+        let p = cal.spc_statistic(0.9, 0.5);
+        let bits = vec![
+            w_lo.to_bits(),
+            w_hi.to_bits(),
+            b_lo.to_bits(),
+            b_hi.to_bits(),
+            p.to_bits(),
+        ];
+        match &reference {
+            None => reference = Some(bits),
+            Some(expected) => assert!(
+                *expected == bits,
+                "calibrated interval diverged at threads={threads}"
+            ),
         }
     }
 }

@@ -20,8 +20,8 @@ use nhpp_data::ObservedData;
 use nhpp_models::prior::NhppPrior;
 use nhpp_models::{ModelSpec, Posterior};
 use nhpp_vb::{
-    fit_many_supervised, RobustOptions, RobustPosterior, RobustTask, SimdPolicy, SolverKind,
-    Truncation, Vb2Options, Vb2Posterior, Vb2Task, WIDE_LANES,
+    fit_many_supervised, RobustOptions, RobustPosterior, RobustTask, SolverKind, Truncation,
+    Vb2Options, Vb2Posterior, Vb2Task, WIDE_LANES,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -356,21 +356,17 @@ fn warm_refit_grouped_is_deterministic_and_cheaper() {
 }
 
 // ---------------------------------------------------------------------
-// Lane-width determinism (DESIGN.md §14): the SIMD dispatch of the VB2
-// N-sweep is a third axis next to thread count and warm start. The
-// contract has two halves: within a dispatch, thread count never
-// changes a bit; across dispatches, scalar and wide agree as numeric
-// oracles, and the lane width a fit actually used is pinned into the
-// posterior so forcing it reproduces the run bitwise on any machine.
+// Lane-sweep determinism (DESIGN.md §14): whether the VB2 N-sweep runs
+// on the lanes follows from the fit alone (`wide_sweep_kind`), and the
+// width is recorded in the posterior as provenance. Within that sweep,
+// thread count never changes a bit — including at the seams where a
+// chunk's lane blocks hand over to its scalar ragged tail.
 // ---------------------------------------------------------------------
 
-/// Iterative-solver options with an explicit lane policy; successive
-/// substitution is the solver whose sweep the wide kernels batch.
-fn lane_options(policy: SimdPolicy, threads: usize) -> Vb2Options {
-    Vb2Options {
-        lanes: policy,
-        ..solver_options(SolverKind::SuccessiveSubstitution, threads)
-    }
+/// Iterative-solver options; successive substitution is the solver
+/// whose sweep the lane kernels batch.
+fn lane_options(threads: usize) -> Vb2Options {
+    solver_options(SolverKind::SuccessiveSubstitution, threads)
 }
 
 /// The lane-gate fixtures: every data/model shape the VB2 lane gate
@@ -401,50 +397,22 @@ fn lane_gate_fixtures() -> Vec<(&'static str, ModelSpec, NhppPrior, ObservedData
 }
 
 #[test]
-fn forced_dispatch_fits_are_thread_invariant_and_pin_their_width() {
+fn lane_gate_fits_are_thread_invariant_and_record_their_width() {
     for (label, spec, prior, data) in lane_gate_fixtures() {
         assert!(data.total_count() >= 3, "{label}: too few events");
-        let mut by_policy = Vec::new();
-        for (policy, width) in [
-            (SimdPolicy::ForceScalar, 1),
-            (SimdPolicy::ForceWide, WIDE_LANES),
-        ] {
-            let serial = Vb2Posterior::fit(spec, prior, &data, lane_options(policy, 1)).unwrap();
-            assert_eq!(
-                serial.lane_width(),
-                width,
-                "{label}: {policy:?} pinned wrong width"
-            );
-            let reference = fingerprint(&serial);
-            for threads in thread_counts() {
-                let fit =
-                    Vb2Posterior::fit(spec, prior, &data, lane_options(policy, threads)).unwrap();
-                assert_eq!(fit.lane_width(), width);
-                assert!(
-                    fingerprint(&fit) == reference,
-                    "{label}: {policy:?} diverged at threads={threads}"
-                );
-            }
-            by_policy.push(serial);
-        }
-        // Across dispatches the sweeps agree as oracles, not bitwise:
-        // the wide paths reassociate the mixture reductions and take
-        // closed-form lane maps for ζ.
-        let scalar = &by_policy[0];
-        for wide in &by_policy[1..] {
+        let serial = Vb2Posterior::fit(spec, prior, &data, lane_options(1)).unwrap();
+        assert_eq!(
+            serial.lane_width(),
+            WIDE_LANES,
+            "{label}: recorded wrong width"
+        );
+        let reference = fingerprint(&serial);
+        for threads in thread_counts() {
+            let fit = Vb2Posterior::fit(spec, prior, &data, lane_options(threads)).unwrap();
+            assert_eq!(fit.lane_width(), WIDE_LANES);
             assert!(
-                (scalar.mean_omega() - wide.mean_omega()).abs() <= 1e-8 * scalar.mean_omega(),
-                "{label} ω: scalar {} vs wide {}",
-                scalar.mean_omega(),
-                wide.mean_omega()
-            );
-            assert!(
-                (scalar.mean_beta() - wide.mean_beta()).abs() <= 1e-8 * scalar.mean_beta(),
-                "{label} β"
-            );
-            assert!(
-                (scalar.elbo() - wide.elbo()).abs() <= 1e-6 * scalar.elbo().abs(),
-                "{label} elbo"
+                fingerprint(&fit) == reference,
+                "{label}: diverged at threads={threads}"
             );
         }
     }
@@ -452,30 +420,31 @@ fn forced_dispatch_fits_are_thread_invariant_and_pin_their_width() {
 
 #[test]
 fn recorded_lane_width_reproduces_the_run_bitwise() {
-    // The reproducibility half of the contract: whatever `Auto`
-    // resolved to in this environment (the CI matrix flips it with
-    // `NHPP_SIMD`), the width recorded in the posterior — forced
-    // explicitly, as a second machine replaying a logged fit would —
-    // reproduces the posterior bit for bit at every pool width.
+    // The recorded width is provenance fixed by the fit: the lane
+    // width for an eligible sweep, 1 for an ineligible one (the Newton
+    // solver on the same data). Refitting the same data and options
+    // reproduces the width and every bit of the posterior at every
+    // pool width.
     let data = simulated_times(41, 40.0, 1e-5);
     assert!(data.total_count() >= 3, "seed 41 yields enough events");
     let spec = ModelSpec::goel_okumoto();
     let prior = NhppPrior::paper_info_times();
-    let auto =
-        Vb2Posterior::fit(spec, prior, &data, lane_options(SimdPolicy::Auto, 2)).unwrap();
-    let forced = match auto.lane_width() {
-        1 => SimdPolicy::ForceScalar,
-        WIDE_LANES => SimdPolicy::ForceWide,
-        w => panic!("unknown recorded lane width {w}"),
-    };
-    let reference = fingerprint(&auto);
-    for threads in thread_counts() {
-        let replay = Vb2Posterior::fit(spec, prior, &data, lane_options(forced, threads)).unwrap();
-        assert_eq!(replay.lane_width(), auto.lane_width());
-        assert!(
-            fingerprint(&replay) == reference,
-            "forced-width replay diverged at threads={threads}"
-        );
+    for (solver, width) in [
+        (SolverKind::SuccessiveSubstitution, WIDE_LANES),
+        (SolverKind::Newton, 1),
+    ] {
+        let first = Vb2Posterior::fit(spec, prior, &data, solver_options(solver, 2)).unwrap();
+        assert_eq!(first.lane_width(), width, "{solver:?}");
+        let reference = fingerprint(&first);
+        for threads in thread_counts() {
+            let replay =
+                Vb2Posterior::fit(spec, prior, &data, solver_options(solver, threads)).unwrap();
+            assert_eq!(replay.lane_width(), width);
+            assert!(
+                fingerprint(&replay) == reference,
+                "{solver:?}: refit diverged at threads={threads}"
+            );
+        }
     }
 }
 
@@ -484,11 +453,9 @@ proptest! {
 
     /// Lane seams of the grouped ΔG kernel: each chunk's N-range splits
     /// into whole lane blocks plus a scalar ragged tail, and that split
-    /// is chunk-local — so for every forced dispatch the fit is bitwise
-    /// invariant in the thread count, on random bin layouts whose
-    /// truncation range deliberately straddles block boundaries. Across
-    /// dispatches (different seam placement, different ζ evaluation
-    /// order) the sweeps agree as numeric oracles.
+    /// is chunk-local — so the fit is bitwise invariant in the thread
+    /// count, on random bin layouts whose truncation range deliberately
+    /// straddles block boundaries.
     #[test]
     fn grouped_lane_seams_are_bitwise_thread_invariant(
         seed in 0u64..1000,
@@ -500,41 +467,17 @@ proptest! {
         prop_assume!(data.total_count() >= 3);
         let spec = ModelSpec::goel_okumoto();
         let prior = NhppPrior::paper_info_grouped();
-        let mut by_policy = Vec::new();
-        for (policy, width) in [
-            (SimdPolicy::ForceScalar, 1),
-            (SimdPolicy::ForceWide, WIDE_LANES),
-        ] {
-            let serial =
-                Vb2Posterior::fit(spec, prior, &data, lane_options(policy, 1)).unwrap();
-            prop_assert_eq!(serial.lane_width(), width);
-            let reference = fingerprint(&serial);
-            for threads in thread_counts() {
-                let fit =
-                    Vb2Posterior::fit(spec, prior, &data, lane_options(policy, threads))
-                        .unwrap();
-                prop_assert!(
-                    fingerprint(&fit) == reference,
-                    "{:?} diverged at threads={}",
-                    policy,
-                    threads
-                );
-            }
-            by_policy.push(serial);
-        }
-        let scalar = &by_policy[0];
-        for wide in &by_policy[1..] {
-            prop_assert!(
-                (scalar.mean_omega() - wide.mean_omega()).abs()
-                    <= 1e-8 * scalar.mean_omega()
-            );
-            prop_assert!((scalar.elbo() - wide.elbo()).abs() <= 1e-6 * scalar.elbo().abs());
+        let serial = Vb2Posterior::fit(spec, prior, &data, lane_options(1)).unwrap();
+        prop_assert_eq!(serial.lane_width(), WIDE_LANES);
+        let reference = fingerprint(&serial);
+        for threads in thread_counts() {
+            let fit = Vb2Posterior::fit(spec, prior, &data, lane_options(threads)).unwrap();
+            prop_assert!(fingerprint(&fit) == reference, "diverged at threads={}", threads);
         }
     }
 
     /// The α₀ ≠ 1 lane map (delayed S-shaped failure times) under the
-    /// same seam property: bitwise thread invariance per dispatch,
-    /// oracle agreement across dispatches.
+    /// same seam property.
     #[test]
     fn dss_lane_seams_are_bitwise_thread_invariant(
         seed in 0u64..1000,
@@ -545,35 +488,12 @@ proptest! {
         prop_assume!(data.total_count() >= 3);
         let spec = ModelSpec::delayed_s_shaped();
         let prior = NhppPrior::paper_info_times();
-        let mut by_policy = Vec::new();
-        for (policy, width) in [
-            (SimdPolicy::ForceScalar, 1),
-            (SimdPolicy::ForceWide, WIDE_LANES),
-        ] {
-            let serial =
-                Vb2Posterior::fit(spec, prior, &data, lane_options(policy, 1)).unwrap();
-            prop_assert_eq!(serial.lane_width(), width);
-            let reference = fingerprint(&serial);
-            for threads in thread_counts() {
-                let fit =
-                    Vb2Posterior::fit(spec, prior, &data, lane_options(policy, threads))
-                        .unwrap();
-                prop_assert!(
-                    fingerprint(&fit) == reference,
-                    "{:?} diverged at threads={}",
-                    policy,
-                    threads
-                );
-            }
-            by_policy.push(serial);
-        }
-        let scalar = &by_policy[0];
-        for wide in &by_policy[1..] {
-            prop_assert!(
-                (scalar.mean_omega() - wide.mean_omega()).abs()
-                    <= 1e-8 * scalar.mean_omega()
-            );
-            prop_assert!((scalar.elbo() - wide.elbo()).abs() <= 1e-6 * scalar.elbo().abs());
+        let serial = Vb2Posterior::fit(spec, prior, &data, lane_options(1)).unwrap();
+        prop_assert_eq!(serial.lane_width(), WIDE_LANES);
+        let reference = fingerprint(&serial);
+        for threads in thread_counts() {
+            let fit = Vb2Posterior::fit(spec, prior, &data, lane_options(threads)).unwrap();
+            prop_assert!(fingerprint(&fit) == reference, "diverged at threads={}", threads);
         }
     }
 }
@@ -606,35 +526,35 @@ fn golden_quantities(scenario: &Scenario, posterior: &dyn Posterior) -> Vec<(Str
 
 #[test]
 fn golden_smoke_holds_under_all_forced_dispatches() {
-    // The checked-in golden fixture is dispatch-neutral: the
-    // forced-scalar and forced-4-lane sweeps both land
-    // every pinned `DT-Info` VB2 and NINT quantity inside its tolerance
-    // band, so a machine that falls back to scalar still reproduces the
-    // paper.
+    // The checked-in golden fixture is sweep-neutral: both VB2 sweeps —
+    // the lane sweep (forced by successive substitution) and the scalar
+    // loop (forced by the Newton solver, which the lanes never take) —
+    // land every pinned `DT-Info` VB2 quantity inside its tolerance
+    // band, and so does NINT on each sweep's bounds.
     let fixture = golden::parse(include_str!("../golden/smoke.txt")).expect("fixture parses");
     let scenario = Scenario::dt_info();
     let spec = ModelSpec::goel_okumoto();
-    for policy in [SimdPolicy::ForceScalar, SimdPolicy::ForceWide] {
+    for (solver, width) in [
+        (SolverKind::SuccessiveSubstitution, WIDE_LANES),
+        (SolverKind::Newton, 1),
+    ] {
         let vb2 = Vb2Posterior::fit(
             spec,
             scenario.prior,
             &scenario.data,
             Vb2Options {
-                solver: SolverKind::SuccessiveSubstitution,
-                lanes: policy,
+                solver,
                 ..scenario.vb2_options()
             },
         )
         .unwrap();
+        assert_eq!(vb2.lane_width(), width, "{solver:?}");
         let nint = NintPosterior::fit(
             spec,
             scenario.prior,
             &scenario.data,
             bounds_from_posterior(&vb2),
-            NintOptions {
-                lanes: policy,
-                ..NintOptions::default()
-            },
+            NintOptions::default(),
         )
         .unwrap();
         for (label, posterior) in [
@@ -654,7 +574,7 @@ fn golden_smoke_holds_under_all_forced_dispatches() {
                     (value - entry.value).abs() / entry.value.abs().max(f64::MIN_POSITIVE);
                 assert!(
                     rel_err <= entry.rel_tol,
-                    "{policy:?} {}: {value} vs golden {} (rel {rel_err:.2e} > {:e})",
+                    "{solver:?} {}: {value} vs golden {} (rel {rel_err:.2e} > {:e})",
                     entry.key,
                     entry.value,
                     entry.rel_tol
