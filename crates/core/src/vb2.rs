@@ -2486,4 +2486,132 @@ mod tests {
             post.mean_omega()
         );
     }
+
+    /// Random-layout oracle for every lane map: on simulated failure
+    /// times (`TimesExp`, and `TimesInt(2)` under the delayed S-shaped
+    /// model) and on random grouped bin layouts (`GroupedExp`), whose
+    /// truncation ranges land lane-block seams anywhere, the lane sweep
+    /// agrees with the scalar `solve_component` loop to
+    /// inner-tolerance-sized amounts.
+    mod lane_oracle {
+        use super::*;
+        use nhpp_data::simulate::NhppSimulator;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestCaseError;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        fn simulator(omega: f64, beta: f64) -> NhppSimulator {
+            let law = ModelSpec::goel_okumoto()
+                .failure_law(beta)
+                .expect("valid beta");
+            NhppSimulator::new(omega, law).expect("valid omega")
+        }
+
+        fn simulated_times(seed: u64, omega: f64, beta: f64) -> ObservedData {
+            let mut rng = StdRng::seed_from_u64(seed);
+            simulator(omega, beta)
+                .simulate_censored(&mut rng, 2e5)
+                .expect("simulation")
+                .into()
+        }
+
+        fn simulated_grouped(seed: u64, omega: f64, beta: f64, bins: usize) -> ObservedData {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let width = 2e5 / bins as f64;
+            let boundaries = (1..=bins).map(|i| i as f64 * width).collect();
+            simulator(omega, beta)
+                .simulate_grouped(&mut rng, boundaries)
+                .expect("simulation")
+                .into()
+        }
+
+        fn lanes_agree_with_scalar(
+            spec: ModelSpec,
+            prior: NhppPrior,
+            data: &ObservedData,
+        ) -> Result<(), TestCaseError> {
+            let options = Vb2Options {
+                solver: SolverKind::SuccessiveSubstitution,
+                truncation: Truncation::AdaptiveCapped {
+                    epsilon: 5e-15,
+                    cap: 20_000,
+                },
+                ..Vb2Options::default()
+            };
+            let wide = Vb2Posterior::fit(spec, prior, data, options).unwrap();
+            let scalar = fit_scalar_sweep(spec, prior, data, options);
+            prop_assert_eq!(wide.lane_width(), WIDE_LANES);
+            prop_assert_eq!(scalar.lane_width(), 1);
+            prop_assert!(
+                (scalar.mean_omega() - wide.mean_omega()).abs() <= 1e-8 * scalar.mean_omega(),
+                "ω: scalar {} vs wide {}",
+                scalar.mean_omega(),
+                wide.mean_omega()
+            );
+            prop_assert!(
+                (scalar.mean_beta() - wide.mean_beta()).abs() <= 1e-8 * scalar.mean_beta(),
+                "β: scalar {} vs wide {}",
+                scalar.mean_beta(),
+                wide.mean_beta()
+            );
+            prop_assert!(
+                (scalar.elbo() - wide.elbo()).abs() <= 1e-6 * scalar.elbo().abs(),
+                "elbo: scalar {} vs wide {}",
+                scalar.elbo(),
+                wide.elbo()
+            );
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            #[test]
+            fn times_exp_lanes_match_scalar(
+                seed in 0u64..1000,
+                omega in 20.0f64..60.0,
+                beta in 5e-6f64..2e-5,
+            ) {
+                let data = simulated_times(seed, omega, beta);
+                prop_assume!(data.total_count() >= 3);
+                lanes_agree_with_scalar(
+                    ModelSpec::goel_okumoto(),
+                    NhppPrior::paper_info_times(),
+                    &data,
+                )?;
+            }
+
+            #[test]
+            fn times_int_lanes_match_scalar(
+                seed in 0u64..1000,
+                omega in 20.0f64..60.0,
+                beta in 5e-6f64..2e-5,
+            ) {
+                let data = simulated_times(seed, omega, beta);
+                prop_assume!(data.total_count() >= 3);
+                lanes_agree_with_scalar(
+                    ModelSpec::delayed_s_shaped(),
+                    NhppPrior::paper_info_times(),
+                    &data,
+                )?;
+            }
+
+            #[test]
+            fn grouped_exp_lanes_match_scalar(
+                seed in 0u64..1000,
+                omega in 20.0f64..60.0,
+                beta in 5e-6f64..2e-5,
+                bins in 5usize..15,
+            ) {
+                let data = simulated_grouped(seed, omega, beta, bins);
+                prop_assume!(data.total_count() >= 3);
+                lanes_agree_with_scalar(
+                    ModelSpec::goel_okumoto(),
+                    NhppPrior::paper_info_grouped(),
+                    &data,
+                )?;
+            }
+        }
+    }
 }
