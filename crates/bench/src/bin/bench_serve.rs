@@ -48,8 +48,8 @@
 //!
 //! Derived requests/sec per concurrency level is printed for humans.
 
-use nhpp_bench::json;
 use nhpp_bench::perf::{Metric, Report};
+use nhpp_data::json;
 use nhpp_data::sys17;
 use nhpp_serve::{
     client_request, client_request_full, metrics::scrape_counter, DurabilityPolicy, FsStorage,

@@ -1,5 +1,7 @@
 //! Regenerates every table and figure, printing to stdout and writing
 //! copies under `results/`. Run with `--release` (several minutes).
+//! The interval-coverage study (`results/coverage.txt`) is regenerated
+//! by `conformance_report study --out results/coverage.txt`.
 
 use std::fs;
 
@@ -15,10 +17,6 @@ fn main() {
         ("table6.txt", nhpp_bench::reports::table6()),
         ("table7.txt", nhpp_bench::reports::table7()),
         ("illposed.txt", nhpp_bench::reports::illposed()),
-        (
-            "coverage.txt",
-            nhpp_bench::coverage::report(&nhpp_bench::coverage::CoverageStudy::default()),
-        ),
     ];
     for (name, report) in &reports {
         println!("\n================================================\n{report}");

@@ -10,8 +10,6 @@
 // `x <= 0.0`, they also reject NaN, which is exactly the validation the
 // numerical code needs.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
-pub mod coverage;
-pub use nhpp_data::json;
 pub mod perf;
 pub mod reports;
 
@@ -34,8 +32,6 @@ pub struct Scenario {
     pub prior: NhppPrior,
     /// Mission lengths `u` probed by the reliability tables.
     pub missions: [f64; 2],
-    /// `true` for the flat-prior scenarios (improper-posterior handling).
-    pub noinfo: bool,
 }
 
 impl Scenario {
@@ -46,7 +42,6 @@ impl Scenario {
             data: sys17::failure_times().into(),
             prior: NhppPrior::paper_info_times(),
             missions: [1_000.0, 10_000.0],
-            noinfo: false,
         }
     }
 
@@ -57,7 +52,6 @@ impl Scenario {
             data: sys17::failure_times().into(),
             prior: NhppPrior::flat(),
             missions: [1_000.0, 10_000.0],
-            noinfo: true,
         }
     }
 
@@ -68,7 +62,6 @@ impl Scenario {
             data: sys17::grouped().into(),
             prior: NhppPrior::paper_info_grouped(),
             missions: [1.0, 5.0],
-            noinfo: false,
         }
     }
 
@@ -79,7 +72,6 @@ impl Scenario {
             data: sys17::grouped().into(),
             prior: NhppPrior::flat(),
             missions: [1.0, 5.0],
-            noinfo: true,
         }
     }
 
@@ -101,24 +93,12 @@ impl Scenario {
 
     /// The VB2 options appropriate for this scenario: strict adaptive
     /// truncation for proper priors, capped growth for flat priors whose
-    /// exact posterior over `N` is improper (see `EXPERIMENTS.md`).
+    /// exact posterior over `N` is improper ([`Truncation::for_prior`]).
     pub fn vb2_options(&self) -> Vb2Options {
-        if self.noinfo {
-            // The flat-prior posterior over N has a harmonic tail, so the
-            // truncation point is a genuine modelling choice; 5·m keeps
-            // the VB2 view of the improper posterior comparable to the
-            // box-truncated NINT view (see EXPERIMENTS.md for the
-            // cap-sensitivity sweep).
-            let cap = (5 * self.data.total_count() as u64).max(100);
-            Vb2Options {
-                truncation: Truncation::AdaptiveCapped {
-                    epsilon: 5e-15,
-                    cap,
-                },
-                ..Vb2Options::default()
-            }
-        } else {
-            Vb2Options::default()
+        Vb2Options {
+            truncation: Truncation::for_prior(&self.prior, self.data.total_count())
+                .unwrap_or_default(),
+            ..Vb2Options::default()
         }
     }
 }
@@ -231,7 +211,7 @@ mod tests {
         let all = Scenario::all();
         assert_eq!(all.len(), 4);
         assert_eq!(all[0].name, "DT-Info");
-        assert!(all[2].noinfo && all[3].noinfo);
+        assert!(all[2].prior.omega.is_flat() && all[3].prior.omega.is_flat());
         assert_eq!(Scenario::info_only().len(), 2);
     }
 

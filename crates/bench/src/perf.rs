@@ -9,11 +9,11 @@
 //! is better — so the comparison rule is uniform.
 //!
 //! No serde in the tree (offline build), so the schema rides on the
-//! shared minimal JSON reader/writer in [`crate::json`]. Malformed
+//! shared minimal JSON reader/writer in [`nhpp_data::json`]. Malformed
 //! input is a hard error — a corrupt report must never pass a
 //! regression gate by being unreadable.
 
-use crate::json::{self, json_number, json_string, Value};
+use nhpp_data::json::{self, json_number, json_string, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 

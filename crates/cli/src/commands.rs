@@ -311,16 +311,8 @@ fn parse_prior(args: &ParsedArgs) -> Result<NhppPrior, CliError> {
 /// VB2 options matching the prior kind (capped truncation for flat
 /// priors, whose exact posterior over N is improper).
 fn vb2_options(prior: &NhppPrior, data: &ObservedData, threads: usize) -> Vb2Options {
-    let truncation = if prior.omega.is_flat() || prior.beta.is_flat() {
-        Truncation::AdaptiveCapped {
-            epsilon: 5e-15,
-            cap: (5 * data.total_count() as u64).max(100),
-        }
-    } else {
-        Truncation::default()
-    };
     Vb2Options {
-        truncation,
+        truncation: Truncation::for_prior(prior, data.total_count()).unwrap_or_default(),
         threads,
         ..Vb2Options::default()
     }

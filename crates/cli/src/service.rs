@@ -10,7 +10,7 @@
 
 use crate::args::ParsedArgs;
 use crate::commands::CliError;
-use nhpp_bench::json;
+use nhpp_data::json;
 use nhpp_serve::{
     client_request_with_backoff, DurabilityPolicy, FitSettings, FsStorage, MonitorConfig,
     Registry, SchemeSelect, Server, ServerConfig, SnapshotStatus,

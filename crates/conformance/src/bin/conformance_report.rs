@@ -25,10 +25,15 @@
 //!     in-control traces per cell, both limit schemes, run-length
 //!     alarms counted. With --smoke at default settings the counts
 //!     are gated against the golden-pinned values.
+//!
+//! conformance_report study [--out FILE]
+//!     The fixed-truth interval-coverage study (200 GO campaigns, five
+//!     methods incl. LAPL-LOG and PROFILE); prints the report that is
+//!     checked in as results/coverage.txt, or writes it to FILE.
 //! ```
 
 use nhpp_conformance::calibrate::{learn, CalibrateConfig};
-use nhpp_conformance::coverage::CoverageConfig;
+use nhpp_conformance::coverage::{study_report, CoverageConfig, CoverageStudy};
 use nhpp_conformance::golden;
 use nhpp_conformance::monitor::{self, FalseAlarmConfig};
 use nhpp_conformance::report::{run, Grid};
@@ -305,10 +310,27 @@ fn cmd_monitor(mut args: Vec<String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+fn cmd_study(mut args: Vec<String>) -> ExitCode {
+    let out = flag_value(&mut args, "--out");
+    if !args.is_empty() {
+        eprintln!("error: unrecognised arguments {args:?}");
+        return ExitCode::from(2);
+    }
+    let report = study_report(&CoverageStudy::default());
+    match out {
+        Some(path) => {
+            std::fs::write(&path, &report).expect("writing the study report");
+            eprintln!("study written to {path}");
+        }
+        None => print!("{report}"),
+    }
+    ExitCode::SUCCESS
+}
+
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: conformance_report <run|golden|calibrate|monitor> [options]");
+        eprintln!("usage: conformance_report <run|golden|calibrate|monitor|study> [options]");
         return ExitCode::from(2);
     }
     let cmd = args.remove(0);
@@ -317,9 +339,11 @@ fn main() -> ExitCode {
         "golden" => cmd_golden(args),
         "calibrate" => cmd_calibrate(args),
         "monitor" => cmd_monitor(args),
+        "study" => cmd_study(args),
         other => {
             eprintln!(
-                "unknown subcommand {other:?}; expected `run`, `golden`, `calibrate` or `monitor`"
+                "unknown subcommand {other:?}; expected `run`, `golden`, `calibrate`, `monitor` \
+                 or `study`"
             );
             ExitCode::from(2)
         }

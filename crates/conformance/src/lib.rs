@@ -12,7 +12,8 @@
 //! * [`sbc`] — simulation-based calibration: rank/PIT uniformity of the
 //!   ground truth under the fitted posterior, χ²- and KS-tested;
 //! * [`coverage`] — an empirical coverage runner with binomial error
-//!   bands and exhaustive per-method failure accounting;
+//!   bands and exhaustive per-method failure accounting, plus the
+//!   fixed-truth study behind `results/coverage.txt`;
 //! * [`golden`] — a golden oracle pinning the paper's Tables 1–7 /
 //!   Figure 1 numbers with tolerance bands and a `--bless` mode;
 //! * [`calibrate`] — the offline learner behind the recalibration
@@ -43,7 +44,10 @@ pub mod scenario;
 pub mod stats;
 
 pub use calibrate::{learn, CalibrateConfig};
-pub use coverage::{run_cell_coverage, CalibratedCoverage, CoverageConfig, MethodCoverage};
+pub use coverage::{
+    run_cell_coverage, run_study, study_report, CalibratedCoverage, CoverageConfig, CoverageStudy,
+    MethodCoverage, Tally,
+};
 pub use methods::{posterior_cdf_beta, posterior_cdf_omega, Method};
 pub use monitor::{run_false_alarm, CellFalseAlarm, FalseAlarmConfig, SchemeTally};
 pub use report::{gate_passed, run, ConformanceRun, Grid, SCHEMA};

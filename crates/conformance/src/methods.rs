@@ -7,6 +7,7 @@
 //! fragment the aggregated accounting maps.
 
 use nhpp_bayes::laplace::LaplacePosterior;
+use nhpp_bayes::laplace_log::LaplaceLogPosterior;
 use nhpp_bayes::nint::{bounds_from_posterior, NintOptions, NintPosterior};
 use nhpp_bayes::BayesError;
 use nhpp_data::ObservedData;
@@ -15,8 +16,11 @@ use nhpp_models::{ModelError, ModelSpec, Posterior};
 use nhpp_numeric::NumericError;
 use nhpp_vb::{Vb1Options, Vb1Posterior, Vb2Options, Vb2Posterior, VbError};
 
-/// The four methods under conformance test (PROFILE is frequentist and
-/// MCMC too slow for repeated simulation; both stay in the bench layer).
+/// The estimation methods under conformance test. [`Method::all`]
+/// lists the four the grid, SBC and calibration sweep; LAPL-LOG is
+/// reported by the fixed-truth study alone. PROFILE is frequentist (it
+/// has no posterior, so the study calls `profile_interval` directly)
+/// and MCMC is too slow for repeated simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
     /// Structured variational Bayes (the paper's contribution).
@@ -27,6 +31,8 @@ pub enum Method {
     Nint,
     /// Laplace approximation.
     Lapl,
+    /// Laplace approximation in `(ln ω, ln β)` (fixed-truth study only).
+    LaplLog,
 }
 
 impl Method {
@@ -37,10 +43,11 @@ impl Method {
             Method::Vb1 => "VB1",
             Method::Nint => "NINT",
             Method::Lapl => "LAPL",
+            Method::LaplLog => "LAPL-LOG",
         }
     }
 
-    /// All four methods in presentation order.
+    /// The four grid methods in presentation order (not LAPL-LOG).
     pub fn all() -> [Method; 4] {
         [Method::Vb2, Method::Vb1, Method::Nint, Method::Lapl]
     }
@@ -69,6 +76,9 @@ impl Method {
                 .map(|p| Box::new(p) as Box<dyn Posterior>)
                 .map_err(|e| vb_error_class(&e)),
             Method::Lapl => LaplacePosterior::fit(spec, prior, data)
+                .map(|p| Box::new(p) as Box<dyn Posterior>)
+                .map_err(|e| bayes_error_class(&e)),
+            Method::LaplLog => LaplaceLogPosterior::fit(spec, prior, data)
                 .map(|p| Box::new(p) as Box<dyn Posterior>)
                 .map_err(|e| bayes_error_class(&e)),
             Method::Nint => {

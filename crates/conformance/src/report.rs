@@ -2,7 +2,7 @@
 //!
 //! Mirrors the `bench/v1` shape from the perf-regression pipeline: a
 //! schema tag, a label, and a deterministic (sorted-key) body, written
-//! with the shared minimal JSON machinery in [`nhpp_bench::json`]. The
+//! with the shared minimal JSON machinery in [`nhpp_data::json`]. The
 //! gate encodes the paper's claim directly: on every Info cell of the
 //! gated grid, the exact methods (VB2, NINT) must pass SBC
 //! rank-uniformity *and* hold nominal coverage within ±3 binomial
@@ -14,7 +14,7 @@
 use crate::coverage::{run_cell_coverage, CoverageConfig, MethodCoverage};
 use crate::sbc::{run_sbc, SbcConfig, SbcResult};
 use crate::scenario::{GridCell, PriorKind};
-use nhpp_bench::json::{self, json_number, json_string, Value};
+use nhpp_data::json::{self, json_number, json_string, Value};
 use nhpp_vb::calibration::CalibrationDictionary;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -436,8 +436,8 @@ pub fn gate_passed(text: &str) -> Result<bool, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coverage::Tally;
     use crate::stats::UniformityTest;
-    use nhpp_bench::coverage::Tally;
 
     fn fake_cell(vb1_under: bool) -> CellResult {
         let mut tally = Tally::default();

@@ -159,9 +159,12 @@ impl GridCell {
         }
     }
 
-    /// VB2 options matching the bench `Scenario` policy: strict adaptive
-    /// truncation under proper priors, capped growth under flat priors
-    /// (whose exact posterior over the latent count is improper).
+    /// VB2 options for the cell: strict adaptive truncation under proper
+    /// priors, capped growth under flat priors (whose exact posterior
+    /// over the latent count is improper). The flat-prior cap is
+    /// `5·ω_true`, not the `5·m` of [`Truncation::for_prior`] that the
+    /// CLI, the server and the bench scenarios use: the blessed
+    /// calibration dictionary was learned with this cap.
     pub fn vb2_options(&self) -> Vb2Options {
         match self.prior {
             PriorKind::Info => Vb2Options::default(),

@@ -126,6 +126,23 @@ impl Default for Truncation {
     }
 }
 
+impl Truncation {
+    /// The truncation policy a flat (NoInfo) prior needs, or `None` for
+    /// a proper prior, where the caller's policy stands. With either
+    /// parameter flat the exact posterior over `N` has a harmonic tail,
+    /// so the truncation point is a genuine modelling choice: adaptive
+    /// growth is capped at `5·m` (at least 100) for `m` observed
+    /// failures, which keeps the VB2 view of the improper posterior
+    /// comparable to the box-truncated NINT view (see `EXPERIMENTS.md`
+    /// for the cap-sensitivity sweep).
+    pub fn for_prior(prior: &NhppPrior, observed: usize) -> Option<Truncation> {
+        (prior.omega.is_flat() || prior.beta.is_flat()).then(|| Truncation::AdaptiveCapped {
+            epsilon: 5e-15,
+            cap: (5 * observed as u64).max(100),
+        })
+    }
+}
+
 /// Options for the VB2 fit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Vb2Options {
@@ -1276,11 +1293,7 @@ fn solve_chunk(
         let start = pick_seed(ctx, n, ctx.warm.and_then(|w| w.xi(n)), warm_xi, shared);
         let mut local = shared.local(u64::MAX);
         let result = solve_component(ctx, n, start, ln_gamma_a, ln_gamma_b, &mut local);
-        // Settle the consumption either way, but let a solve error take
-        // precedence over a budget trip caused by that same solve.
-        let settled = shared.absorb(&local);
-        let comp = result?;
-        settled.map_err(VbError::from)?;
+        let comp = settle(shared, &local, result)?;
         warm_xi = Some(comp.xi);
         *slot = comp;
         ladder_a.advance();
@@ -1369,7 +1382,6 @@ fn solve_lanes<const L: usize>(
     ln_gamma_b: [f64; L],
     shared: &SharedBudget,
 ) -> Result<[Component; L], VbError> {
-    let m = ctx.summary.observed();
     let t_end = ctx.summary.t_end();
     let sum_obs = match ctx.summary {
         DataSummary::Times { sum_obs, .. } => *sum_obs,
@@ -1384,17 +1396,10 @@ fn solve_lanes<const L: usize>(
         let mut b_shapes = [0.0; L];
         let mut denoms = [0.0; L];
         let mut rfs = [0.0; L];
-        let mut rs = [0u64; L];
         let mut x = [0.0; L];
         for i in 0..L {
             let n = ns[i];
-            let Some(r) = n.checked_sub(m) else {
-                return Err(VbError::InvalidOption {
-                    message: "candidate N must be at least the observed count m",
-                });
-            };
-            rs[i] = r;
-            let rf = r as f64;
+            let rf = unobserved(ctx, n)? as f64;
             rfs[i] = rf;
             b_shapes[i] = ctx.a_b + n as f64 * ctx.alpha0;
             denoms[i] = ctx.r_b + sum_obs + rf * t_end;
@@ -1492,8 +1497,7 @@ fn solve_lanes<const L: usize>(
         // Weight assembly in the same shape as the scalar
         // `zeta_and_data` + `solve_component` finish, on the lane
         // kernels: tail (and, for grouped data, bin) terms, ζ, data
-        // factor, ln weight.
-        let ln_rw1 = (ctx.r_w + 1.0).ln();
+        // factor, then the shared [`ln_weight`].
         let mut comps = [Component::PLACEHOLDER; L];
         for i in 0..L {
             let n = ns[i];
@@ -1553,34 +1557,75 @@ fn solve_lanes<const L: usize>(
                     (zeta, ln_data)
                 }
             };
-            let a_shape = ctx.a_w + n as f64;
-            let ln_rb_zeta = (ctx.r_b + zeta).ln();
-            let ln_w = ln_gamma_a[i] - a_shape * ln_rw1 + ln_gamma_b[i]
-                - b_shapes[i] * ln_rb_zeta
-                - ln_factorial(rs[i])
-                + ln_data;
-            if ln_w.is_nan() {
-                return Err(VbError::DegenerateWeights {
-                    message: format!("ln weight is NaN at N={n} (ζ={zeta}, ξ={xi})"),
-                });
-            }
             comps[i] = Component {
                 n,
                 zeta,
                 xi,
-                ln_weight: ln_w,
+                ln_weight: ln_weight(ctx, n, ln_gamma_a[i], ln_gamma_b[i], zeta, xi, ln_data)?,
                 inner_iterations: iters[i],
             };
         }
         Ok(comps)
     })();
-    // Settle the consumption either way; a solve error takes precedence
-    // over a budget trip caused by that same solve (as in the scalar
-    // path).
-    let settled = shared.absorb(&local);
-    let comps = result?;
+    settle(shared, &local, result)
+}
+
+/// `r = N − m`, the faults still latent behind candidate `N`.
+///
+/// # Errors
+///
+/// [`VbError::InvalidOption`] when `N` is below the observed count `m`.
+fn unobserved(ctx: &FitContext, n: u64) -> Result<u64, VbError> {
+    n.checked_sub(ctx.summary.observed())
+        .ok_or(VbError::InvalidOption {
+            message: "candidate N must be at least the observed count m",
+        })
+}
+
+/// Component `N`'s unnormalised ln weight `ln P̃ᵥ(N)` from its solved
+/// `(ζ, ξ)`, data factor and the caller's `ln Γ(m_ω + N)` /
+/// `ln Γ(m_β + N·α₀)`. The scalar and lane sweeps both finish here, so
+/// they share one floating-point evaluation order.
+///
+/// # Errors
+///
+/// [`VbError::DegenerateWeights`] if the weight is NaN.
+fn ln_weight(
+    ctx: &FitContext,
+    n: u64,
+    ln_gamma_a_shape: f64,
+    ln_gamma_b_shape: f64,
+    zeta: f64,
+    xi: f64,
+    ln_data: f64,
+) -> Result<f64, VbError> {
+    let a_shape = ctx.a_w + n as f64;
+    let b_shape = ctx.a_b + n as f64 * ctx.alpha0;
+    let r = n - ctx.summary.observed();
+    let ln_w = ln_gamma_a_shape - a_shape * (ctx.r_w + 1.0).ln() + ln_gamma_b_shape
+        - b_shape * (ctx.r_b + zeta).ln()
+        - ln_factorial(r)
+        + ln_data;
+    if ln_w.is_nan() {
+        return Err(VbError::DegenerateWeights {
+            message: format!("ln weight is NaN at N={n} (ζ={zeta}, ξ={xi})"),
+        });
+    }
+    Ok(ln_w)
+}
+
+/// Settles a solve's local consumption into the shared budget. The
+/// consumption is settled either way, but a solve error takes
+/// precedence over a budget trip caused by that same solve.
+fn settle<T>(
+    shared: &SharedBudget,
+    local: &Budget,
+    result: Result<T, VbError>,
+) -> Result<T, VbError> {
+    let settled = shared.absorb(local);
+    let value = result?;
     settled.map_err(VbError::from)?;
-    Ok(comps)
+    Ok(value)
 }
 
 /// Solves the `(ζ, ξ)` fixed point for one `N` and evaluates the
@@ -1601,19 +1646,13 @@ fn solve_component(
     let FitContext {
         summary,
         alpha0,
-        a_w,
-        r_w,
         a_b,
         r_b,
         ref options,
         ..
     } = *ctx;
     let b_shape = a_b + n as f64 * alpha0;
-    let Some(r) = n.checked_sub(summary.observed()) else {
-        return Err(VbError::InvalidOption {
-            message: "candidate N must be at least the observed count m",
-        });
-    };
+    let r = unobserved(ctx, n)?;
 
     let (xi, iterations) = if uses_closed_form(ctx) {
         let (sum_obs, t_end) = match summary {
@@ -1673,16 +1712,15 @@ fn solve_component(
             ctx.ln_gamma_alpha0p1,
         )
     };
-    let a_shape = a_w + n as f64;
-    let ln_w = ln_gamma_a_shape - a_shape * (r_w + 1.0).ln() + ln_gamma_b_shape
-        - b_shape * (r_b + zeta).ln()
-        - ln_factorial(r)
-        + ln_data;
-    if ln_w.is_nan() {
-        return Err(VbError::DegenerateWeights {
-            message: format!("ln weight is NaN at N={n} (ζ={zeta}, ξ={xi})"),
-        });
-    }
+    let ln_w = ln_weight(
+        ctx,
+        n,
+        ln_gamma_a_shape,
+        ln_gamma_b_shape,
+        zeta,
+        xi,
+        ln_data,
+    )?;
     Ok(Component {
         n,
         zeta,

@@ -6,8 +6,7 @@
 //! It lives in the data crate — the lowest layer every consumer
 //! already depends on — so both the report pipelines at the top of the
 //! stack and the calibration dictionary loaded by `nhpp-serve` parse
-//! with one implementation. `nhpp_bench::json` re-exports this module
-//! for its historical callers.
+//! with one implementation.
 //!
 //! No serde in the tree (offline build), so this module carries a tiny
 //! JSON writer surface and a strict recursive-descent parser. Malformed

@@ -5,8 +5,8 @@
 //! * [`roots`] — bisection, Brent's method and safeguarded Newton for the
 //!   one-dimensional root problems that appear in quantile inversion and
 //!   reliability-bound computation;
-//! * [`fixed_point`] — plain and Aitken-accelerated successive substitution
-//!   for the VB2 `(ζ, ξ)` system (Eqs. (24)–(27) of the paper);
+//! * [`fixed_point`] — budgeted successive substitution, Newton and
+//!   bisection for the VB2 `(ζ, ξ)` system (Eqs. (24)–(27) of the paper);
 //! * [`quadrature`] — Gauss–Legendre rules, adaptive Simpson and
 //!   log-space tensor quadrature over rectangles (the NINT engine);
 //! * [`optimize`] — Nelder–Mead and a damped 2-D Newton for MAP/MLE fits;

@@ -31,7 +31,8 @@ use crate::monitor::{Alert, ChartPoint, ChartSnapshot};
 use crate::registry::{CreateOutcome, ProjectConfig, RegistryError};
 use crate::scheduler::{cached_fit, ensure_fit, FitServeError};
 use crate::server::AppState;
-use nhpp_models::spc::ChartStatus;
+use nhpp_data::json::json_string as jstr;
+use nhpp_models::spc::{classify, ChartStatus};
 use nhpp_models::Posterior;
 use nhpp_vb::calibration::{dictionary_key, prior_informativeness};
 use nhpp_vb::{Calibration, FailureKind, FitFailure};
@@ -47,27 +48,6 @@ pub use nhpp_models::spc::{SPC_CL, SPC_LCL, SPC_UCL};
 /// Long-poll ceiling for `/monitor/wait`: safely inside the server's
 /// 30 s connection read timeout and the client's 60 s response timeout.
 const MAX_WAIT_MS: f64 = 25_000.0;
-
-/// Escapes a string into a JSON literal.
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// Formats a number as JSON; non-finite values become `null` (JSON has
 /// no NaN, and a query must not produce an unparsable body).
@@ -742,13 +722,6 @@ fn spc(state: &AppState, req: &Request, id: &str) -> Response {
         Some(a) => a.cal.spc_statistic(raw, SPC_CL),
         None => raw,
     };
-    let status = if p < SPC_LCL {
-        "deterioration-alarm"
-    } else if p > SPC_UCL {
-        "improvement"
-    } else {
-        "in-control"
-    };
     Response::json(
         200,
         format!(
@@ -762,7 +735,7 @@ fn spc(state: &AppState, req: &Request, id: &str) -> Response {
             jnum(SPC_LCL),
             jnum(SPC_CL),
             jnum(SPC_UCL),
-            jstr(status),
+            jstr(classify(p).as_str()),
             applied.is_some(),
             calibration_json(state, applied.as_ref()),
             cached.version,

@@ -109,8 +109,8 @@ pub enum FitServeError {
 
 /// Per-project option tuning: a flat prior makes the exact posterior
 /// over the latent total N improper, so adaptive truncation must be
-/// capped relative to the observed count (the same policy as the batch
-/// CLI) or the first fit of a flat-prior project crawls through an
+/// capped relative to the observed count ([`Truncation::for_prior`],
+/// the same policy as the batch CLI) or the first fit of a flat-prior project crawls through an
 /// enormous component sweep.
 fn tuned_options(
     settings: &FitSettings,
@@ -119,11 +119,8 @@ fn tuned_options(
 ) -> RobustOptions {
     let mut options = settings.options;
     options.total_deadline = settings.deadline;
-    if prior.omega.is_flat() || prior.beta.is_flat() {
-        options.base.truncation = Truncation::AdaptiveCapped {
-            epsilon: 5e-15,
-            cap: (5 * data.total_count() as u64).max(100),
-        };
+    if let Some(truncation) = Truncation::for_prior(prior, data.total_count()) {
+        options.base.truncation = truncation;
     }
     options
 }
